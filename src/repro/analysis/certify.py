@@ -24,9 +24,11 @@ structure the passes themselves must respect:
    side, so proving every unitary segment pair ``(S_i, S_i')`` equal
    proves the circuits equal.
 3. **Segments diff down to local rewrite sites.**  Each segment pair is
-   aligned with a longest-matching-subsequence diff over instruction
-   equality (gates compare by name/params/matrix); unchanged
-   instructions anchor the alignment.  Within each hunk the changed
+   aligned over instruction equality (gates compare by
+   name/params/matrix): a greedy walk that reads each fused gate as
+   replacing the run of gates within its qubits, then a
+   longest-matching-subsequence diff for the rest (see :func:`_align`);
+   unchanged instructions anchor the alignment.  Within each hunk the changed
    instructions group into qubit-connected components — the initial
    rewrite *sites* (disjoint-support factors commute, so they certify
    independently; distinct hunks compose sequentially).  A site that
@@ -336,6 +338,42 @@ def _hunk_sites(
     return list(sites.values())
 
 
+def _align(
+    before: Sequence[Instruction], after: Sequence[Instruction]
+) -> List[Tuple[str, int, int, int, int]]:
+    """Diff opcodes (``difflib`` format) aligning one segment pair.
+
+    A greedy walk first reads ``after`` as a fusion-style rewrite: each
+    instruction either equals the next unconsumed ``before`` instruction
+    or replaces the longest run of them acting within its own qubits —
+    exactly the members of a fused group.  Where that reading stops (no
+    such run, or a run holding the instruction itself: a deletion), an
+    LCS diff aligns the rest.  Any alignment is sound (every hunk is
+    verified, and failing sites escalate); the walk only keeps a gate
+    that fusion left alone from anchoring against an identical gate
+    inside a fused group, which would smear sites across the register.
+    """
+    opcodes = []
+    i = j = 0
+    while i < len(before) and j < len(after):
+        if after[j] == before[i]:
+            tag, end = "equal", i + 1
+        else:
+            support = set(after[j].qubits)
+            end = i
+            while end < len(before) and support.issuperset(before[end].qubits):
+                end += 1
+            if end == i or after[j] in before[i:end]:
+                break
+            tag = "replace"
+        opcodes.append((tag, i, end, j, j + 1))
+        i, j = end, j + 1
+    matcher = difflib.SequenceMatcher(None, before[i:], after[j:], autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        opcodes.append((tag, i + i1, i + i2, j + j1, j + j2))
+    return opcodes
+
+
 def _structural_fixpoint(
     sites: List[_Site], gaps: List[tuple]
 ) -> List[tuple]:
@@ -419,7 +457,7 @@ def _segment_sites(
 ) -> List[_Site]:
     """The verified rewrite sites of one barrier-free segment pair.
 
-    Aligns the runs with an LCS diff and splits each changed hunk into
+    Aligns the runs (:func:`_align`) and splits each changed hunk into
     qubit-connected components — the initial sites, each verified as a
     local operator comparison.  A site that fails locally is not
     rejected outright: a pass may have cancelled a pair *across*
@@ -433,12 +471,9 @@ def _segment_sites(
     the final partition means the segments genuinely disagree (or
     exceeded ``max_support``, reported as ``too-wide``).
     """
-    matcher = difflib.SequenceMatcher(
-        None, run_before, run_after, autojunk=False
-    )
     gaps: List[tuple] = []  # (oi, offset, global index, instruction)
     sites: List[_Site] = []
-    for oi, (tag, i1, i2, j1, j2) in enumerate(matcher.get_opcodes()):
+    for oi, (tag, i1, i2, j1, j2) in enumerate(_align(run_before, run_after)):
         if tag == "equal":
             for offset, k in enumerate(range(i1, i2)):
                 gaps.append((oi, offset, start_before + k, run_before[k]))

@@ -40,6 +40,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.circuit import Circuit
 from repro.circuit.ptm import ptm_is_trace_preserving
+from repro.transpile.fusion import is_fusion_barrier
 from repro.utils.exceptions import AnalysisError
 
 _GIB = 1024**3
@@ -71,7 +72,7 @@ class AnalysisContext:
     ----------
     mode:
         The plan mode the circuit is headed for (``"statevector"``,
-        ``"density"``, ``"trajectory"``) or ``None`` when unknown —
+        ``"density"``, ``"trajectory"``, ``"ptm"``) or ``None`` when unknown —
         the resource rule then assumes the cheaper pure-state estimate.
     max_memory_bytes:
         State tensors estimated above this are *errors* (the run cannot
@@ -426,12 +427,14 @@ class ChannelRule:
 
 
 class FusionBarrierRule:
-    """Circuits dominated by fusion barriers: ``FuseAdjacentGates`` is moot.
+    """Circuits dominated by fusion barriers: gate fusion is moot.
 
-    Channels, dynamic ops (measure/reset/if_bit) and unbound parametric
-    gates are all barriers the fusion pass cannot cross.  When at least
-    half of a non-trivial circuit is barriers, transpiling buys little —
-    an advisory finding, not a bug.
+    What counts as a barrier is the fusion module's call for the
+    context's plan mode (:func:`~repro.transpile.fusion.is_fusion_barrier`):
+    dynamic ops and unbound parametric gates always, channels everywhere
+    but ``"ptm"``, whose lowering fuses them with the gates around them.
+    When at least half of a non-trivial circuit is barriers, fusion buys
+    little — an advisory finding, not a bug.
     """
 
     code = "fusion-barrier-density"
@@ -447,11 +450,7 @@ class FusionBarrierRule:
         if total < self.min_instructions:
             return
         barriers = sum(
-            1
-            for instruction in circuit
-            if instruction.is_channel
-            or instruction.is_dynamic
-            or instruction.is_parametric
+            1 for instruction in circuit if is_fusion_barrier(instruction, context.mode)
         )
         density = barriers / total
         if density >= self.threshold:

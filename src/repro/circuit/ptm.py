@@ -134,43 +134,6 @@ def ptm_is_unital(ptm: np.ndarray, atol: float = 1e-8) -> bool:
     return bool(np.allclose(ptm[:, 0], expected, rtol=0.0, atol=atol))
 
 
-def embed_ptm(
-    matrix: np.ndarray, positions: Sequence[int], width: int
-) -> np.ndarray:
-    """Embed a ``k``-qubit PTM at ``positions`` of a ``width``-qubit register.
-
-    The base-4 analogue of :func:`repro.transpile.fusion.embed_matrix`:
-    returns the ``(4**width, 4**width)`` PTM acting as ``matrix`` on the
-    register slots ``positions`` (in order) and as the identity elsewhere.
-    """
-    positions = [int(p) for p in positions]
-    k = len(positions)
-    if len(set(positions)) != k:
-        raise CircuitError(f"duplicate embed positions {tuple(positions)}")
-    if any(p < 0 or p >= width for p in positions):
-        raise CircuitError(
-            f"embed positions {tuple(positions)} out of range for width {width}"
-        )
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (4**k, 4**k):
-        raise CircuitError(
-            f"PTM shape {matrix.shape} does not match {k} position(s)"
-        )
-    if positions == list(range(width)):
-        return matrix
-    full = np.kron(matrix, np.eye(4 ** (width - k)))
-    # full's register slots: 0..k-1 carry matrix's qubits in order, the
-    # rest the identity.  Route slot i of the source to positions[i] (and
-    # the identity slots to the remaining positions, ascending).
-    rest = [p for p in range(width) if p not in positions]
-    perm = [0] * width
-    for source, destination in enumerate(positions + rest):
-        perm[destination] = source
-    axes = tuple(perm) + tuple(p + width for p in perm)
-    tensor = full.reshape((4,) * (2 * width)).transpose(axes)
-    return np.ascontiguousarray(tensor).reshape(4**width, 4**width)
-
-
 def density_to_pauli_vector(tensor: np.ndarray) -> np.ndarray:
     """Convert a ``(2,) * 2n`` density tensor to a real ``(4,) * n`` Pauli vector.
 
@@ -252,7 +215,6 @@ def zero_pauli_vector(num_qubits: int) -> np.ndarray:
 
 __all__: List[str] = [
     "density_to_pauli_vector",
-    "embed_ptm",
     "kraus_to_ptm",
     "pauli_basis",
     "pauli_vector_probabilities",

@@ -31,13 +31,16 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
 * ``"ptm"`` — every gate *and* every channel becomes one real
   ``(4**k, 4**k)`` Pauli-transfer matrix contracting onto the ``(4,) * n``
   Pauli vector of rho (:class:`PTMOp`).  Because gates and noise now
-  compose by plain matrix multiplication, lowering fuses adjacent
-  gate+channel runs on overlapping qubits into single ops (up to
-  :data:`PTM_FUSE_WIDTH` qubits) — channels stop being fusion barriers.
-  Dynamic instructions are rejected in this mode.
+  compose by plain matrix multiplication, lowering feeds gate and channel
+  PTMs alike to the shared :class:`~repro.transpile.fusion.Fuser`: each
+  program-order run whose qubits stay within
+  :data:`~repro.transpile.fusion.FUSE_WIDTH` becomes a single op —
+  channels stop being fusion barriers.  Dynamic instructions are
+  rejected in this mode.
 
 Dynamic instructions (measure/reset/if_bit) lower to
-:class:`MeasureOp`/:class:`ResetOp`/:class:`ConditionalOp` in every mode.
+:class:`MeasureOp`/:class:`ResetOp`/:class:`ConditionalOp` in the other
+three modes.
 Plans containing them (or trajectory Kraus ops) set
 :attr:`ExecutionPlan.has_dynamic_ops`; the backends' shared loop then
 threads an RNG and a classical-bit register through
@@ -65,8 +68,9 @@ from typing import (
 
 import numpy as np
 
-from repro.circuit import Circuit, Parameter
-from repro.circuit.ptm import embed_ptm, kraus_to_ptm
+from repro.circuit import Channel, Circuit, Parameter
+from repro.circuit.ptm import kraus_to_ptm
+from repro.transpile.fusion import Fuser, FusionGroup, is_fusion_barrier
 from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
@@ -83,12 +87,6 @@ STATEVECTOR = "statevector"
 DENSITY = "density"
 TRAJECTORY = "trajectory"
 PTM = "ptm"
-
-#: Maximum register width (qubits) of a fused PTM op, matching the
-#: default width cap of :class:`~repro.transpile.FuseAdjacentGates`: a
-#: fused (4**k, 4**k) block costs 16**k multiplies per contraction, so
-#: runaway widening would undo the fusion win.
-PTM_FUSE_WIDTH = 2
 
 #: Density-mode classical branches below this trace weight are dropped:
 #: they are fp dust from projecting deterministic outcomes, and keeping
@@ -893,130 +891,6 @@ def _lower_dynamic(
     return ConditionalOp(operation.clbit, operation.value, inner)
 
 
-class _PTMFusionGroup:
-    """A pending run of PTMs being fused into one op at lowering time.
-
-    The base-4 sibling of :class:`repro.transpile.fusion._FusionGroup`:
-    absorbing an op widens the accumulated matrix by ``kron`` with the
-    identity on any new qubits (existing qubits keep their slot order),
-    embeds the incoming PTM at the right slots, and left-multiplies.
-    Nothing here mutates its inputs, so cached gate/channel PTMs stay
-    shared until a second member actually arrives.
-    """
-
-    __slots__ = ("qubits", "matrix", "names")
-
-    def __init__(
-        self, qubits: Sequence[int], matrix: np.ndarray, name: str
-    ) -> None:
-        self.qubits = list(qubits)
-        self.matrix = matrix
-        self.names = [name]
-
-    def can_absorb(self, qubits: Sequence[int], max_width: int) -> bool:
-        return len(set(self.qubits) | set(qubits)) <= max_width
-
-    def absorb(self, qubits: Sequence[int], matrix: np.ndarray, name: str) -> None:
-        new = [q for q in qubits if q not in self.qubits]
-        if new:
-            self.matrix = np.kron(self.matrix, np.eye(4 ** len(new)))
-            self.qubits.extend(new)
-        positions = [self.qubits.index(q) for q in qubits]
-        incoming = embed_ptm(matrix, positions, len(self.qubits))
-        self.matrix = incoming @ self.matrix
-        self.names.append(name)
-
-
-def _lower_ptm(
-    circuit: Circuit,
-    dtype: np.dtype,
-    noise_model: Optional["NoiseModel"],
-    backend_name: str,
-) -> ExecutionPlan:
-    """Lower a circuit into fused :class:`PTMOp` runs for the ptm mode.
-
-    Gates and channels alike arrive as real PTMs and fuse greedily
-    through each other — the statevector fusion pass must stop at every
-    channel, but here a noisy layer collapses into one op per
-    ``PTM_FUSE_WIDTH``-qubit group.  Parametric slots (unknown matrices)
-    and ops wider than the cap stay barriers.
-    """
-    n = circuit.num_qubits
-    ops: List[PlanOp] = []
-    group: Optional[_PTMFusionGroup] = None
-
-    def flush() -> None:
-        nonlocal group
-        if group is not None:
-            ops.append(
-                PTMOp(
-                    "+".join(group.names),
-                    group.matrix,
-                    tuple(group.qubits),
-                    dtype,
-                )
-            )
-            group = None
-
-    def feed(name: str, ptm: np.ndarray, qubits: Sequence[int]) -> None:
-        nonlocal group
-        if len(qubits) > PTM_FUSE_WIDTH:
-            flush()
-            ops.append(PTMOp(name, ptm, tuple(qubits), dtype))
-            return
-        if group is not None and group.can_absorb(qubits, PTM_FUSE_WIDTH):
-            group.absorb(qubits, ptm, name)
-            return
-        flush()
-        group = _PTMFusionGroup(qubits, ptm, name)
-
-    for index, instruction in enumerate(circuit):
-        operation = instruction.operation
-        if instruction.is_dynamic:
-            raise SimulationError(
-                "circuit contains dynamic ops (measure/reset/if_bit); the "
-                "ptm backend evolves Pauli vectors with no classical "
-                "register — use backend='density_matrix' or "
-                "backend='trajectory'"
-            )
-        if instruction.is_channel:
-            feed(operation.name, operation.ptm, instruction.qubits)
-            continue
-        if instruction.is_parametric:
-            flush()
-            ops.append(
-                ParametricSlotOp(
-                    operation.name, operation.params, instruction.qubits, index
-                )
-            )
-        else:
-            feed(
-                operation.name,
-                _gate_ptm(
-                    operation.name,
-                    operation.params,
-                    operation.matrix,
-                    len(instruction.qubits),
-                ),
-                instruction.qubits,
-            )
-        if noise_model is not None:
-            for channel, qubits in noise_model.channels_for(instruction):
-                feed(channel.name, channel.ptm, qubits)
-    flush()
-    return ExecutionPlan(
-        PTM,
-        n,
-        ops,
-        circuit.parameters(),
-        dtype,
-        circuit,
-        backend_name,
-        stats=circuit.stats(),
-        num_clbits=circuit.num_clbits,
-    )
-
-
 def _lower(
     circuit: Circuit,
     mode: str,
@@ -1024,10 +898,17 @@ def _lower(
     noise_model: Optional["NoiseModel"],
     backend_name: str,
 ) -> ExecutionPlan:
-    """Lower a (transpiled) circuit into plan ops for ``mode``."""
-    if mode == PTM:
-        return _lower_ptm(circuit, dtype, noise_model, backend_name)
-    if mode not in (STATEVECTOR, DENSITY, TRAJECTORY):
+    """Lower a (transpiled) circuit into plan ops for ``mode``.
+
+    In ``"ptm"`` mode gates and channels alike arrive as real PTMs and go
+    through the shared :class:`~repro.transpile.fusion.Fuser` — the
+    statevector fusion pass must stop at every channel, but here a noisy
+    layer collapses into one op per fused group.  The fuser is flushed
+    wherever :func:`~repro.transpile.fusion.is_fusion_barrier` says so for
+    ``mode`` (parametric slots in ``"ptm"``); in the other modes it never
+    holds a group, so the flush is a no-op.
+    """
+    if mode not in (STATEVECTOR, DENSITY, TRAJECTORY, PTM):
         raise SimulationError(
             f"unknown plan mode {mode!r}; expected "
             f"{STATEVECTOR!r}, {DENSITY!r}, {TRAJECTORY!r} or {PTM!r}"
@@ -1035,63 +916,63 @@ def _lower(
     n = circuit.num_qubits
     pure = mode in (STATEVECTOR, TRAJECTORY)
     ops: List[PlanOp] = []
+
+    def emit(group: FusionGroup) -> None:
+        ops.append(PTMOp("+".join(group.members), group.matrix, tuple(group.qubits), dtype))
+
+    fuser = Fuser(emit, dim=4)
+
+    def add_channel(channel: Channel, qubits: Sequence[int]) -> None:
+        if mode == PTM:
+            fuser.feed(qubits, channel.ptm, channel.name)
+        elif mode == TRAJECTORY:
+            ops.append(TrajectoryKrausOp(channel.name, channel.kraus, qubits, dtype))
+        elif mode == DENSITY:
+            ops.append(DensityKrausOp(channel.name, channel.kraus, qubits, n, dtype))
+        else:
+            raise SimulationError(
+                "circuit contains channel instructions; the statevector "
+                "backend only simulates unitary gates — use "
+                "backend='density_matrix'"
+            )
+
     for index, instruction in enumerate(circuit):
         operation = instruction.operation
+        qubits = instruction.qubits
+        if is_fusion_barrier(instruction, mode):
+            fuser.flush()
         if instruction.is_dynamic:
+            if mode == PTM:
+                raise SimulationError(
+                    "circuit contains dynamic ops (measure/reset/if_bit); the "
+                    "ptm backend evolves Pauli vectors with no classical "
+                    "register — use backend='density_matrix' or "
+                    "backend='trajectory'"
+                )
             ops.append(_lower_dynamic(instruction, mode, n, dtype))
             continue
         if instruction.is_channel:
-            if mode == STATEVECTOR:
-                raise SimulationError(
-                    "circuit contains channel instructions; the statevector "
-                    "backend only simulates unitary gates — use "
-                    "backend='density_matrix'"
-                )
-            if mode == TRAJECTORY:
-                ops.append(
-                    TrajectoryKrausOp(
-                        operation.name, operation.kraus, instruction.qubits, dtype
-                    )
-                )
-            else:
-                ops.append(
-                    DensityKrausOp(
-                        operation.name, operation.kraus, instruction.qubits, n, dtype
-                    )
-                )
+            add_channel(operation, qubits)
             continue
         if instruction.is_parametric:
-            ops.append(
-                ParametricSlotOp(
-                    operation.name, operation.params, instruction.qubits, index
-                )
-            )
+            ops.append(ParametricSlotOp(operation.name, operation.params, qubits, index))
+        elif mode == PTM:
+            matrix = _gate_ptm(operation.name, operation.params, operation.matrix, len(qubits))
+            fuser.feed(qubits, matrix, operation.name)
         elif pure:
-            ops.append(
-                UnitaryOp(operation.name, operation.matrix, instruction.qubits, dtype)
-            )
+            ops.append(UnitaryOp(operation.name, operation.matrix, qubits, dtype))
         else:
-            ops.append(
-                DensityUnitaryOp(
-                    operation.name, operation.matrix, instruction.qubits, n, dtype
-                )
-            )
+            ops.append(DensityUnitaryOp(operation.name, operation.matrix, qubits, n, dtype))
         if noise_model is not None:
             # Rule matching hoisted out of the run loop: the rules
             # fired by an instruction depend only on its name and
             # qubits, both fixed at compile time (parametric or not).
             # Statevector mode never gets here — gate noise is rejected
             # by the backend's _validate_noise before lowering.
-            for channel, qubits in noise_model.channels_for(instruction):
-                if mode == TRAJECTORY:
-                    ops.append(
-                        TrajectoryKrausOp(channel.name, channel.kraus, qubits, dtype)
-                    )
-                else:
-                    ops.append(
-                        DensityKrausOp(channel.name, channel.kraus, qubits, n, dtype)
-                    )
-    plan = ExecutionPlan(
+            for channel, channel_qubits in noise_model.channels_for(instruction):
+                add_channel(channel, channel_qubits)
+    fuser.flush()
+    return ExecutionPlan(
         mode,
         n,
         ops,
@@ -1102,7 +983,6 @@ def _lower(
         stats=circuit.stats(),
         num_clbits=circuit.num_clbits,
     )
-    return plan
 
 
 def compile_plan(

@@ -28,6 +28,12 @@ from repro.utils.exceptions import TranspilerError
 if TYPE_CHECKING:
     from repro.analysis.certify import Certificate
 
+#: Default width cap (qubits) of a fused op, shared by
+#: :class:`~repro.transpile.FuseAdjacentGates` and ``ptm``-mode plan
+#: lowering: a fused ``(d**k, d**k)`` block costs ``d**(2k)`` multiplies
+#: per contraction, so runaway widening would undo the fusion win.
+FUSE_WIDTH = 2
+
 
 class Pass(abc.ABC):
     """A single circuit-rewrite stage.
@@ -216,7 +222,7 @@ class PassManager:
         return f"PassManager([{inner}])"
 
 
-def default_passes(max_fused_width: int = 2) -> Tuple[Pass, ...]:
+def default_passes(max_fused_width: int = FUSE_WIDTH) -> Tuple[Pass, ...]:
     """The default optimisation pipeline, cheapest rewrites first.
 
     Identity drops and inverse-pair cancellation shrink the instruction
@@ -237,7 +243,7 @@ def default_passes(max_fused_width: int = 2) -> Tuple[Pass, ...]:
 def transpile(
     circuit: Circuit,
     passes: Union[None, PassManager, Sequence[Pass]] = None,
-    max_fused_width: int = 2,
+    max_fused_width: int = FUSE_WIDTH,
     pass_manager_out: Optional[List[PassManager]] = None,
     lower: Optional[Callable[[Circuit], Any]] = None,
     certify: bool = False,

@@ -137,6 +137,19 @@ class TestEquivalentRewrites:
         assert cert.ok, cert.diagnostics
         assert cert.max_support <= 2
 
+    def test_unfused_gate_repeating_a_group_member_stays_local(self):
+        # s(0) closes the circuit unfused, but an identical s(0) sits in
+        # the first fused group; anchoring the two together would smear
+        # every fused group into one site across the register.
+        circuit = (
+            Circuit(6).cx(3, 0).s(0).t(4).rx(0.3, 5).x(1).cz(5, 2).ry(0.2, 5).s(0)
+        )
+        fused = FuseAdjacentGates(max_width=2).run(circuit)
+        assert [i.gate.name for i in fused] == ["unitary"] * 2 + ["x", "unitary", "s"]
+        cert = certify_rewrite(circuit, fused, "FuseAdjacentGates")
+        assert cert.ok, cert.diagnostics
+        assert cert.max_support == 2
+
     def test_global_phase_option(self):
         phase = np.exp(1j * 0.9)
         before = Circuit(1).unitary(np.eye(2), (0,)).x(0)

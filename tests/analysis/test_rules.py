@@ -16,6 +16,8 @@ from repro.analysis import (
 from repro.analysis.rules import _RULES
 from repro.circuit import Channel, Circuit, Instruction
 from repro.gates import get_gate
+from repro.noise import depolarizing
+from repro.plan import compile_plan
 
 _BUILTINS = (
     "unused-qubit",
@@ -214,6 +216,27 @@ class TestFusionBarrierDensity:
     def test_gate_dominated_circuit_is_clean(self):
         circuit = Circuit(2).h(0).cx(0, 1).h(1).cx(1, 0).measure(0, 0)
         assert not analyze(circuit, rules=("fusion-barrier-density",))
+
+    @staticmethod
+    def _noisy_gates():
+        # 8 gates, each followed by a channel: half the circuit is channels.
+        circuit = Circuit(2)
+        for qubit in (0, 1, 0, 1, 0, 1, 0, 1):
+            circuit.h(qubit).channel(depolarizing(0.01), (qubit,))
+        return circuit
+
+    def test_channels_are_not_barriers_in_ptm_mode(self):
+        # ptm lowering fuses the whole body into one op, so no finding.
+        circuit = self._noisy_gates()
+        assert len(compile_plan(circuit, "ptm", use_cache=False).ops) == 1
+        context = AnalysisContext(mode="ptm")
+        assert not analyze(circuit, rules=("fusion-barrier-density",), context=context)
+
+    def test_channels_are_barriers_in_density_mode(self):
+        context = AnalysisContext(mode="density")
+        report = analyze(self._noisy_gates(), rules=("fusion-barrier-density",), context=context)
+        assert len(report.infos) == 1
+        assert "8 of 16" in report[0].message
 
 
 class TestResourceRule:

@@ -22,7 +22,6 @@ from repro.bench.workloads import (
 )
 from repro.circuit import Channel, Circuit
 from repro.circuit.ptm import (
-    embed_ptm,
     kraus_to_ptm,
     ptm_is_trace_preserving,
     ptm_is_unital,
@@ -30,6 +29,8 @@ from repro.circuit.ptm import (
 from repro.execution import RunOptions
 from repro.noise import amplitude_damping, depolarizing, phase_damping
 from repro.plan import PTMOp, ParametricSlotOp, compile_plan
+from repro.plan.plan import DENSITY as DENSITY_MODE
+from repro.plan.plan import PTM as PTM_MODE
 from repro.sim import (
     DensityMatrix,
     PauliVector,
@@ -39,6 +40,7 @@ from repro.sim import (
     get_backend,
     run,
 )
+from repro.transpile.fusion import is_fusion_barrier
 from repro.utils.exceptions import SimulationError
 
 #: The ISSUE-mandated agreement bar between the PTM and density engines.
@@ -173,18 +175,6 @@ class TestPTMHelpers:
         channel = depolarizing(0.1)
         assert ptm_is_trace_preserving(channel.ptm)
         assert ptm_is_unital(channel.ptm)
-
-    def test_embed_ptm_identity_padding(self):
-        small = kraus_to_ptm((repro.get_gate("x").matrix,), 1)
-        wide = embed_ptm(small, [1], 2)
-        # Acting on qubit 1 of 2: qubit 0's digits are untouched.
-        expected = np.kron(np.eye(4), small)
-        assert wide == pytest.approx(expected)
-
-    def test_embed_ptm_rejects_bad_positions(self):
-        small = np.eye(4)
-        with pytest.raises(Exception):
-            embed_ptm(small, [0, 0], 2)
 
 
 class TestChannelPTMProperty:
@@ -342,6 +332,21 @@ class TestFusionThroughChannels:
         assert kinds == ["PTMOp", "ParametricSlotOp", "PTMOp"]
         bound = plan.bind({"theta": 0.4})
         assert all(isinstance(op, PTMOp) for op in bound.ops)
+
+    def test_lowering_and_barrier_predicate_agree(self):
+        # ptm lowering flushes exactly where is_fusion_barrier says so for
+        # the plan's mode: channels fuse, parametric gates do not.
+        theta = repro.Parameter("theta")
+        circuit = (
+            Circuit(1).h(0).channel(depolarizing(0.1), (0,)).rz(theta, 0).x(0)
+        )
+        plan = compile_plan(circuit, get_backend("ptm"), use_cache=False)
+        barriers = [is_fusion_barrier(i, plan.mode) for i in circuit]
+        assert plan.mode == PTM_MODE
+        assert barriers == [False, False, True, False]
+        kinds = [type(op).__name__ for op in plan.ops]
+        assert kinds == ["PTMOp", "ParametricSlotOp", "PTMOp"]
+        assert is_fusion_barrier(circuit[1], DENSITY_MODE)
 
 
 class TestPTMDensityParity:
