@@ -24,8 +24,8 @@ Layering (each layer depends only on the ones above it)::
     repro.sampling     shot sampling -> Counts (any backend, readout noise)
     repro.observables  Pauli / PauliSum observables, (batched) expectations
     repro.execution    execute() front door: RunOptions, Job, Result/BatchResult
-    repro.service      parallel worker pool (process sharding of shots,
-                       sweeps, batches) + execute_async() bounded job queue
+    repro.service      parallel worker pool (sweep points, batch elements,
+                       trajectories) + execute_async() bounded job queue
     repro.bench        benchmark workloads + JSON-reporting harness
 
 The public API re-exported here is the supported surface; module internals
@@ -138,7 +138,7 @@ from repro.utils import (
     spawn_seeds,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",

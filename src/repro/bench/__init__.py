@@ -4,7 +4,7 @@
 backend (statevector or density-matrix, noisy families included), records
 wall-times, gate counts and seeded counts/expectation-equivalence checks
 through the unified ``repro.execute`` front door, and returns a
-JSON-stable report (``schema_version`` 7).  On noisy (density-matrix)
+JSON-stable report (``schema_version`` 8).  On noisy (density-matrix)
 rows the same fused circuit is also raced on the Pauli-transfer-matrix
 backend, recording ``ptm_speedup_vs_density`` alongside counts- and
 expectation-equivalence checks.  ``python -m repro.bench --json`` is the

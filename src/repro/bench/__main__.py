@@ -1,10 +1,10 @@
 """CLI for the benchmark suite: ``python -m repro.bench [--json] [--smoke]``.
 
-Prints a human-readable table by default, the schema-7 JSON report with
+Prints a human-readable table by default, the schema-8 JSON report with
 ``--json``; ``--sweep`` adds the batched parameter-sweep benchmark run
 through ``repro.execute``, ``--parallel`` adds the parallel execution
-service legs (per-element sweep + sharded shots, serial vs.
-``--workers`` processes), and ``--trajectory`` adds the Monte-Carlo
+service leg (per-element sweep, serial vs. ``--workers`` processes),
+and ``--trajectory`` adds the Monte-Carlo
 trajectory backend vs. exact density-matrix evolution on the noisy
 workload families.  Exits non-zero if any workload's fused execution
 fails the seeded counts/expectation-equivalence checks, if run() and
@@ -64,7 +64,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Benchmark the simulation backends with and without gate fusion.",
     )
     parser.add_argument(
-        "--json", action="store_true", help="emit the schema-7 JSON report on stdout"
+        "--json", action="store_true", help="emit the schema-8 JSON report on stdout"
     )
     parser.add_argument(
         "--smoke",
@@ -80,7 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--parallel",
         action="store_true",
         help="also benchmark the parallel execution service "
-        "(per-element sweep + sharded shots, serial vs. --workers processes)",
+        "(per-element sweep, serial vs. --workers processes)",
     )
     parser.add_argument(
         "--workers",
@@ -154,24 +154,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         parallel = report["parallel"]
         if parallel is not None:
-            for label, leg, parity_keys in (
-                ("sweep", parallel["sweep"], ("results_match",)),
-                (
-                    "shards",
-                    parallel["sharded_shots"],
-                    ("counts_match", "unsharded_matches_shard1"),
-                ),
-            ):
-                speedup = leg["parallel_speedup"]
-                speedup_cell = f"{speedup:.2f}x" if speedup is not None else "n/a"
-                parity_ok = all(leg[key] for key in parity_keys)
-                print(
-                    f"parallel/{label}: {leg['name']}, serial "
-                    f"{leg['run_time_serial_s']:.2g}s vs "
-                    f"{parallel['workers']} workers "
-                    f"{leg['run_time_parallel_s']:.2g}s ({speedup_cell}), "
-                    f"parity: {'ok' if parity_ok else 'FAIL'}"
-                )
+            leg = parallel["sweep"]
+            speedup = leg["parallel_speedup"]
+            speedup_cell = f"{speedup:.2f}x" if speedup is not None else "n/a"
+            print(
+                f"parallel/sweep: {leg['name']}, serial "
+                f"{leg['run_time_serial_s']:.2g}s vs "
+                f"{parallel['workers']} workers "
+                f"{leg['run_time_parallel_s']:.2g}s ({speedup_cell}), "
+                f"parity: {'ok' if leg['results_match'] else 'FAIL'}"
+            )
         trajectory = report["trajectory"]
         if trajectory is not None:
             for row in trajectory["workloads"]:
@@ -290,14 +282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parallel["sweep"]["workers1_matches_serial"],
                 "max_workers=1 sweep diverges from the default serial path",
             ),
-            (
-                parallel["sharded_shots"]["counts_match"],
-                "parallel sharded-shot counts diverge from serial sharding",
-            ),
-            (
-                parallel["sharded_shots"]["unsharded_matches_shard1"],
-                "shard_shots=1 diverges from the unsharded sampling path",
-            ),
         ):
             if not flag:
                 print(message, file=sys.stderr)
@@ -306,20 +290,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # core exists, and leave headroom (0.9x) for scheduler noise at
         # smoke sizes — correctness gates above are unconditional.
         cpu_count = parallel["cpu_count"]
-        if cpu_count is not None and cpu_count >= 2:
-            for label, leg in (
-                ("sweep", parallel["sweep"]),
-                ("sharded shots", parallel["sharded_shots"]),
-            ):
-                speedup = leg["parallel_speedup"]
-                if speedup is not None and speedup < 0.9:
-                    print(
-                        f"parallel {label} is slower than serial execution "
-                        f"({speedup:.2f}x with {parallel['workers']} workers "
-                        f"on {cpu_count} CPUs)",
-                        file=sys.stderr,
-                    )
-                    failed = True
+        speedup = parallel["sweep"]["parallel_speedup"]
+        if (
+            cpu_count is not None
+            and cpu_count >= 2
+            and speedup is not None
+            and speedup < 0.9
+        ):
+            print(
+                f"parallel sweep is slower than serial execution "
+                f"({speedup:.2f}x with {parallel['workers']} workers "
+                f"on {cpu_count} CPUs)",
+                file=sys.stderr,
+            )
+            failed = True
     trajectory = report["trajectory"]
     if trajectory is not None:
         disagreeing = [

@@ -1,10 +1,10 @@
 """The bench driver: time each workload unfused vs. transpiled vs. planned.
 
-Report schema (``schema_version`` 7) — stable from this PR onward so CI
+Report schema (``schema_version`` 8) — stable from this PR onward so CI
 artifacts stay comparable across commits::
 
     {
-      "schema_version": 6,
+      "schema_version": 8,
       "config": {"smoke": bool, "shots": int, "seed": int,
                  "repeats": int, "max_fused_width": int,
                  "backend": str,
@@ -75,15 +75,6 @@ artifacts stay comparable across commits::
           "parallel_speedup": float | null,  # serial / parallel
           "results_match": bool,          # parallel bitwise == serial
           "workers1_matches_serial": bool # max_workers=1 bitwise == default
-        },
-        "sharded_shots": {             # one state, sampling split k ways
-          "name": str, "num_qubits": int,
-          "shots": int, "shard_shots": int,
-          "run_time_serial_s": float,     # k shards, sampled in-process
-          "run_time_parallel_s": float,   # same k shards on the pool
-          "parallel_speedup": float | null,
-          "counts_match": bool,           # sharded serial == sharded pool
-          "unsharded_matches_shard1": bool  # shard_shots=1 == plain path
         }
       },
       "trajectory": null | {           # present (non-null) with --trajectory
@@ -117,7 +108,9 @@ Monte-Carlo trajectory backend — no ``trajectory`` section and no
 backend — no ``run_time_ptm_s`` / ``ptm_speedup_vs_density`` /
 ``ptm_counts_match`` / ``ptm_expectations_match`` /
 ``plan_ops_density`` / ``plan_ops_ptm`` / ``ptm_fewer_ops`` workload
-columns (and no ``brickwork_depolarized`` family).
+columns (and no ``brickwork_depolarized`` family); version 7 carried a
+second ``parallel`` leg, ``sharded_shots``, removed together with shot
+sharding.
 
 Counts and expectation values are produced through the unified
 :func:`repro.execute` front door, so the harness exercises exactly the
@@ -150,7 +143,7 @@ from repro.sim import get_backend
 from repro.transpile import Pass, transpile
 from repro.utils.exceptions import SimulationError
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # Mixed-state cost is O(4**n) memory *per contraction temporary*: n = 12
 # is already ~270 MB a copy (minutes of bench wall-time), n = 16 would be
@@ -401,31 +394,26 @@ def _bench_parallel(
 ) -> Dict[str, object]:
     """Benchmark the parallel execution service against its serial twin.
 
-    Two legs, each timing the *same options* with ``max_workers=1``
+    One leg, ``sweep``, times the *same options* with ``max_workers=1``
     versus ``max_workers=workers`` so the columns differ only in
-    scheduling:
+    scheduling: a per-element density-matrix sweep with depolarizing
+    gate noise, the workload the service spreads element-wise.  Heavy
+    per-point contractions amortise the pickle-and-ship cost, so this
+    is where multi-process wins first.
 
-    * ``sweep`` — a per-element density-matrix sweep with depolarizing
-      gate noise, the workload the service shards element-wise.  Heavy
-      per-point contractions amortise the pickle-and-ship cost, so this
-      is where multi-process wins first.
-    * ``sharded_shots`` — one statevector, a large shot count split into
-      ``shard_shots`` seed-derived shards sampled concurrently.
-
-    Each leg also records parity booleans (parallel results bitwise
+    The leg also records parity booleans (parallel results bitwise
     equal to serial) so CI gates on correctness even on hosts where the
     speedup gate is meaningless — ``cpu_count`` is in the report
     precisely because a 1-CPU runner cannot be expected to go faster.
-    Speedups are ``null``, never Infinity, when the parallel leg
-    measured 0.  The first parallel run of each leg is untimed warm-up:
-    it forks the worker pool so pool start-up cost stays out of the
-    steady-state columns.
+    The speedup is ``null``, never Infinity, when the parallel leg
+    measured 0.  The first parallel run is untimed warm-up: it forks
+    the worker pool so pool start-up cost stays out of the steady-state
+    columns.
     """
     from repro.noise import NoiseModel, depolarizing
 
     timing_repeats = max(repeats, 3)
 
-    # --- leg 1: per-element sweep (density + noise) -------------------
     # Sized so even the smoke leg has tens of milliseconds of serial
     # work per run: lighter legs drown in fork/pickle overhead and make
     # the multi-core speedup gate flaky.
@@ -480,60 +468,10 @@ def _bench_parallel(
         "workers1_matches_serial": bool(workers1_matches_serial),
     }
 
-    # --- leg 2: sharded shots on one statevector ----------------------
-    shard_qubits = 10
-    shard_shots_total = 32768 if smoke else 131072
-    shard_count = workers * 2
-    circuit = Circuit(shard_qubits, name="sharded_sampling").h(0)
-    for qubit in range(shard_qubits - 1):
-        circuit.cx(qubit, qubit + 1)
-
-    def run_shots(max_workers: Optional[int], shard_shots: int):
-        return execute(
-            circuit,
-            shots=shard_shots_total,
-            seed=seed,
-            memory=True,
-            shard_shots=shard_shots,
-            max_workers=max_workers,
-        )
-
-    sharded_serial = run_shots(1, shard_count)
-    sharded_parallel = run_shots(workers, shard_count)  # warm-up run
-    counts_match = (
-        sharded_serial.counts == sharded_parallel.counts
-        and sharded_serial.memory == sharded_parallel.memory
-    )
-    # shard_shots=1 takes the plain single-draw path bit for bit.
-    unsharded_matches_shard1 = (
-        run_shots(None, 0).counts == run_shots(None, 1).counts
-    )
-    shots_serial_s = _best_time(
-        lambda: run_shots(1, shard_count), timing_repeats
-    )
-    shots_parallel_s = _best_time(
-        lambda: run_shots(workers, shard_count), timing_repeats
-    )
-
-    shard_leg = {
-        "name": circuit.name,
-        "num_qubits": shard_qubits,
-        "shots": shard_shots_total,
-        "shard_shots": shard_count,
-        "run_time_serial_s": shots_serial_s,
-        "run_time_parallel_s": shots_parallel_s,
-        "parallel_speedup": (
-            shots_serial_s / shots_parallel_s if shots_parallel_s > 0 else None
-        ),
-        "counts_match": bool(counts_match),
-        "unsharded_matches_shard1": bool(unsharded_matches_shard1),
-    }
-
     return {
         "workers": int(workers),
         "cpu_count": os.cpu_count(),
         "sweep": sweep_leg,
-        "sharded_shots": shard_leg,
     }
 
 
@@ -623,7 +561,7 @@ def run_suite(
     workers: int = 2,
     trajectory: bool = False,
 ) -> Dict[str, object]:
-    """Run the benchmark suite and return the schema-7 report dict.
+    """Run the benchmark suite and return the schema-8 report dict.
 
     Parameters
     ----------
@@ -663,10 +601,9 @@ def run_suite(
         top-level ``"sweep"`` entry is ``null`` otherwise.
     parallel:
         Also benchmark the parallel execution service (see
-        :func:`_bench_parallel`): a per-element sweep and a sharded-shot
-        sampling leg, each serial vs. ``workers`` processes with parity
-        checks.  The report's top-level ``"parallel"`` entry is ``null``
-        otherwise.
+        :func:`_bench_parallel`): a per-element sweep, serial vs.
+        ``workers`` processes, with parity checks.  The report's
+        top-level ``"parallel"`` entry is ``null`` otherwise.
     workers:
         Worker-process count for the parallel legs (ignored unless
         ``parallel`` is set).  Speedup columns only mean something when

@@ -46,8 +46,8 @@ from repro.execution.options import RunOptions, resolve_sanitize_mode
 from repro.observables import expectation
 from repro.sampling.counts import Counts
 from repro.sampling.sampler import (
+    counts_and_memory_from_probabilities,
     counts_from_probabilities,
-    memory_from_probabilities,
     readout_probabilities,
 )
 from repro.sim.registry import get_backend
@@ -103,81 +103,80 @@ def sample_shard(
     num_qubits: int,
     memory: bool,
 ) -> Tuple[Counts, Optional[List[str]]]:
-    """Counts (and optional per-shot memory) for one shard of shots.
+    """Counts (and optional per-shot memory) for one element's shots.
 
     The unit of sampling work: one probability vector, one shot budget,
-    one derived seed.  The serial sampler, the sharded sampler, and the
-    worker pool all call exactly this function, which is what makes the
-    three arrangements bitwise-interchangeable.
+    one derived seed.  With ``memory`` the counts are tallied from the
+    same per-shot draw, so the two views of one experiment always agree.
     """
     rng = ensure_rng(seed)
     if memory:
-        # Tally counts from the same per-shot draw so the two views of
-        # one experiment can never disagree.
-        shard_memory = memory_from_probabilities(probs, shots, rng, num_qubits)
-        tally: Dict[str, int] = {}
-        for outcome in shard_memory:
-            tally[outcome] = tally.get(outcome, 0) + 1
-        return Counts(tally, num_qubits=num_qubits), shard_memory
+        return counts_and_memory_from_probabilities(probs, shots, rng, num_qubits)
     return counts_from_probabilities(probs, shots, rng, num_qubits), None
 
 
-def _sample_probs(
-    probs: np.ndarray,
-    num_bits: int,
-    options: RunOptions,
-    element_index: int,
-    workers: int = 1,
-) -> Tuple[Counts, Optional[List[str]]]:
-    """Counts/memory drawn from a precomputed probability vector.
-
-    With ``shard_shots`` <= 1 this is the classic single-stream sampler
-    seeded by ``derive_seed(seed, i)``.  With k > 1 shards, shard ``j``
-    draws ``sizes[j]`` shots from ``derive_seed(seed, i, j)`` and the
-    parts merge in shard order — the same split runs serially or on the
-    worker pool, so results depend on ``(seed, shard_shots)`` only.
-    """
-    from repro.service.sharding import (
-        effective_shard_count,
-        merge_counts,
-        merge_memory,
-        shard_seeds,
-        shard_sizes,
-    )
-
-    num_shards = effective_shard_count(options.shard_shots, options.shots)
-    seeds = shard_seeds(options.seed, element_index, num_shards)
-    if num_shards <= 1:
-        return sample_shard(
-            probs, options.shots, seeds[0], num_bits, options.memory
-        )
-    sizes = shard_sizes(options.shots, num_shards)
-    tasks = [
-        (probs, size, seed, num_bits, options.memory)
-        for size, seed in zip(sizes, seeds)
-    ]
-    if workers > 1:
-        from repro.service.pool import _shard_task, run_tasks
-
-        parts = run_tasks(_shard_task, tasks, workers)
-    else:
-        parts = [sample_shard(*task) for task in tasks]
-    return (
-        merge_counts([part[0] for part in parts]),
-        merge_memory([part[1] for part in parts]),
-    )
-
-
 def _sample(
-    state: Any, options: RunOptions, element_index: int, workers: int = 1
+    state: Any,
+    options: RunOptions,
+    index: int,
+    readout: Optional[Tuple[np.ndarray, int]],
 ) -> Tuple[Counts, Optional[List[str]]]:
-    """Counts/memory for batch or sweep element ``element_index``.
+    """Counts/memory of element ``index``, seeded by ``derive_seed(seed, index)``.
 
-    Computes the readout distribution of ``state`` (noise-model readout
-    error applied) and delegates to :func:`_sample_probs`.
+    Draws from ``readout``, a ``(probabilities, num_bits)`` pair, or by
+    default from the state's own readout distribution (noise-model
+    readout error applied).
     """
-    probs = readout_probabilities(state, options.noise_model)
-    return _sample_probs(probs, state.num_qubits, options, element_index, workers)
+    if readout is None:
+        readout = (
+            readout_probabilities(state, options.noise_model),
+            state.num_qubits,
+        )
+    probs, num_bits = readout
+    return sample_shard(
+        probs,
+        options.shots,
+        derive_seed(options.seed, index),
+        num_bits,
+        options.memory,
+    )
+
+
+def _state_payload(
+    index: int,
+    state: Any,
+    options: RunOptions,
+    run_time: float,
+    readout: Optional[Tuple[np.ndarray, int]] = None,
+    values: Optional[Tuple[float, ...]] = None,
+) -> Dict[str, Any]:
+    """The per-element payload of one final state: sample, then measure.
+
+    Shots draw through :func:`_sample` (``readout`` overrides the
+    state's own distribution).  ``values`` skips the expectation
+    evaluation when the caller already has them (the batched sweep).
+    Returns a plain dict so the payload crosses process boundaries
+    without dragging Result construction into workers.
+    """
+    counts = memory = None
+    sample_time = 0.0
+    if options.shots:
+        t0 = time.perf_counter()
+        counts, memory = _sample(state, options, index, readout)
+        sample_time = time.perf_counter() - t0
+    if values is None:
+        values = tuple(
+            expectation(state, observable) for observable in options.observables
+        )
+    return {
+        "index": index,
+        "state": state,
+        "counts": counts,
+        "memory": memory,
+        "values": values,
+        "run_time_s": run_time,
+        "sample_time_s": sample_time,
+    }
 
 
 def element_payload(
@@ -194,8 +193,6 @@ def element_payload(
     runs identically on the parent (serial path) and inside a worker
     process (the pool's ``_element_task`` calls it with the unpickled
     plan), which is the bitwise-parity guarantee for ``max_workers``.
-    Returns a plain dict so the payload crosses process boundaries
-    without dragging Result/BatchResult construction into workers.
 
     Dynamic plans (measure/reset/if_bit, or trajectory Kraus sampling)
     route through :func:`_dynamic_payload` — shot-resolved per-shot
@@ -207,25 +204,17 @@ def element_payload(
         return _dynamic_payload(bound, index, options, backend, workers)
     t0 = time.perf_counter()
     state = backend.execute_plan(bound, sanitize=options.sanitize)
-    run_time = time.perf_counter() - t0
-    counts = memory = None
-    sample_time = 0.0
-    if options.shots:
-        t0 = time.perf_counter()
-        counts, memory = _sample(state, options, index, workers=workers)
-        sample_time = time.perf_counter() - t0
-    values = tuple(
-        expectation(state, observable) for observable in options.observables
-    )
-    return {
-        "index": index,
-        "state": state,
-        "counts": counts,
-        "memory": memory,
-        "values": values,
-        "run_time_s": run_time,
-        "sample_time_s": sample_time,
-    }
+    return _state_payload(index, state, options, time.perf_counter() - t0)
+
+
+def shard_sizes(total: int, num_shards: int) -> List[int]:
+    """Split ``total`` trajectories into ``num_shards`` near-equal parts.
+
+    The first ``total % num_shards`` shards carry one extra trajectory,
+    so the split is deterministic and ``sum(shard_sizes(n, k)) == n``.
+    """
+    base, extra = divmod(total, num_shards)
+    return [base + (1 if i < extra else 0) for i in range(num_shards)]
 
 
 def trajectory_shard(
@@ -238,13 +227,13 @@ def trajectory_shard(
 ) -> Dict[str, Any]:
     """Run trajectories ``[start, start + count)`` of one element.
 
-    The unit of trajectory work, mirroring :func:`sample_shard` for
-    shots: trajectory ``t`` (absolute index, whatever the shard split)
-    seeds its own stream from ``derive_seed(seed, element_index, t)``,
-    evolves one stochastic pure state, records one outcome — the clbit
-    string when the circuit measures into clbits, otherwise one terminal
-    readout draw from the same stream — and evaluates each requested
-    observable exactly on that trajectory's state.  Because every
+    The unit of trajectory work: trajectory ``t`` (absolute index,
+    whatever the shard split) seeds its own stream from
+    ``derive_seed(seed, element_index, t)``, evolves one stochastic pure
+    state, records one outcome — the clbit string when the circuit
+    measures into clbits, otherwise one terminal readout draw from the
+    same stream — and evaluates each requested observable exactly on
+    that trajectory's state.  Because every
     per-trajectory quantity depends only on ``(seed, element_index, t)``,
     any shard split (serial, or ``max_workers`` pool shards) merges to
     bitwise-identical results.
@@ -295,15 +284,13 @@ def _trajectory_element(
     are the trajectory **means** of the per-trajectory exact values, with
     the standard error of each mean surfaced as ``expectation_std`` (the
     statistical handle the bench agreement gate uses).  Trajectories
-    shard across the worker pool exactly like shot shards — merged in
-    shard order over absolute-index seeds, so ``max_workers`` never
-    changes the result.
+    shard across the worker pool, merged in shard order over
+    absolute-index seeds, so ``max_workers`` never changes the result.
     """
     t0 = time.perf_counter()
     shots = options.shots
     if workers > 1 and shots > 1:
         from repro.service.pool import _trajectory_task, dump_plan, run_tasks
-        from repro.service.sharding import shard_sizes
 
         blob = dump_plan(plan)
         shipped = _worker_options(options)
@@ -375,33 +362,13 @@ def _dynamic_payload(
             plan, classical=classical, sanitize=options.sanitize
         )
         run_time = time.perf_counter() - t0
-        counts = memory = None
-        sample_time = 0.0
-        if options.shots:
-            t0 = time.perf_counter()
-            if plan.num_clbits:
-                probs = np.zeros(1 << plan.num_clbits, dtype=np.float64)
-                for bits, weight in classical["distribution"].items():
-                    probs[bitstring_to_index(bits)] = weight
-                probs /= probs.sum()
-                counts, memory = _sample_probs(
-                    probs, plan.num_clbits, options, index, workers
-                )
-            else:
-                counts, memory = _sample(state, options, index, workers=workers)
-            sample_time = time.perf_counter() - t0
-        values = tuple(
-            expectation(state, observable) for observable in options.observables
-        )
-        return {
-            "index": index,
-            "state": state,
-            "counts": counts,
-            "memory": memory,
-            "values": values,
-            "run_time_s": run_time,
-            "sample_time_s": sample_time,
-        }
+        readout = None
+        if options.shots and plan.num_clbits:
+            probs = np.zeros(1 << plan.num_clbits, dtype=np.float64)
+            for bits, weight in classical["distribution"].items():
+                probs[bitstring_to_index(bits)] = weight
+            readout = (probs / probs.sum(), plan.num_clbits)
+        return _state_payload(index, state, options, run_time, readout)
     if options.shots == 0:
         if plan.mode == "trajectory":
             raise ExecutionError(
@@ -415,17 +382,7 @@ def _dynamic_payload(
         t0 = time.perf_counter()
         rng = ensure_rng(derive_seed(options.seed, index, 0))
         state = backend.execute_plan(plan, rng=rng, sanitize=options.sanitize)
-        return {
-            "index": index,
-            "state": state,
-            "counts": None,
-            "memory": None,
-            "values": tuple(
-                expectation(state, observable) for observable in options.observables
-            ),
-            "run_time_s": time.perf_counter() - t0,
-            "sample_time_s": 0.0,
-        }
+        return _state_payload(index, state, options, time.perf_counter() - t0)
     return _trajectory_element(plan, index, options, backend, workers)
 
 
@@ -474,22 +431,79 @@ def _worker_options(options: RunOptions) -> RunOptions:
     return options.replace(passes=None, backend=None)
 
 
-def _parallel_elements(
-    plan_blobs: Sequence[bytes],
+def _plan_payloads(
+    plans: Sequence["ExecutionPlan"],
     points: Sequence[Optional[Dict[str, float]]],
     options: RunOptions,
     backend: Any,
     workers: int,
 ) -> List[Dict[str, Any]]:
-    """Fan per-element work out to the pool; payload dicts in index order."""
-    from repro.service.pool import _element_task, run_tasks
+    """Per-element payloads of compiled plans, in index order.
 
-    shipped = _worker_options(options)
-    tasks = [
-        (blob, point, index, shipped, backend)
-        for index, (blob, point) in enumerate(zip(plan_blobs, points))
+    With ``workers > 1`` and more than one element the elements fan out
+    to the pool: each distinct plan pickles once in the parent and
+    workers only bind/execute/sample.  Per-element seeds derive from the
+    element index, so the fan-out is results-invisible.
+    """
+    if workers > 1 and len(plans) > 1:
+        from repro.service.pool import _element_task, dump_plan, run_tasks
+
+        shipped = _worker_options(options)
+        blobs: Dict[int, bytes] = {}
+        tasks = []
+        for index, (plan, point) in enumerate(zip(plans, points)):
+            if id(plan) not in blobs:
+                blobs[id(plan)] = dump_plan(plan)
+            tasks.append((blobs[id(plan)], point, index, shipped, backend))
+        return run_tasks(_element_task, tasks, workers)
+    return [
+        element_payload(plan, point, index, options, backend, workers=workers)
+        for index, (plan, point) in enumerate(zip(plans, points))
     ]
-    return run_tasks(_element_task, tasks, workers)
+
+
+def _protocol_payload(
+    backend: Any,
+    circuit: Circuit,
+    index: int,
+    options: RunOptions,
+    element_options: RunOptions,
+) -> Dict[str, Any]:
+    """One element on a protocol-only backend: ``run()``, then sample."""
+    t0 = time.perf_counter()
+    state = backend.run(circuit, options=element_options)
+    return _state_payload(index, state, options, time.perf_counter() - t0)
+
+
+def _payload_result(
+    payload: Mapping[str, Any],
+    circuit: Any,
+    parameters: Optional[Dict[str, float]],
+    options: RunOptions,
+    backend_name: str,
+    diagnostics: Optional[Tuple[Any, ...]],
+) -> Result:
+    """The :class:`Result` of one element payload."""
+    metadata = {
+        "backend": backend_name,
+        "seed": derive_seed(options.seed, payload["index"]),
+        "run_time_s": payload["run_time_s"],
+        "sample_time_s": payload["sample_time_s"],
+    }
+    if "expectation_std" in payload:
+        metadata["expectation_std"] = payload["expectation_std"]
+    if diagnostics is not None:
+        metadata["diagnostics"] = diagnostics
+    return Result(
+        circuit,
+        payload["state"],
+        counts=payload["counts"],
+        memory=payload["memory"],
+        observables=options.observables,
+        expectation_values=payload["values"],
+        parameters=parameters,
+        metadata=metadata,
+    )
 
 
 def _compile_timed(
@@ -534,6 +548,44 @@ def _sweep_is_batchable(
     )
 
 
+def _batched_payloads(
+    plan: "ExecutionPlan",
+    bindings: List[Dict[str, float]],
+    options: RunOptions,
+    backend: Any,
+) -> List[Dict[str, Any]]:
+    """Payloads of a batched sweep: one stacked evolution for all points."""
+    from repro.observables import expectation_batched
+    from repro.plan import run_batched_sweep
+
+    t0 = time.perf_counter()
+    batch_states = run_batched_sweep(plan, bindings)
+    run_time = time.perf_counter() - t0
+    sanitize_mode = resolve_sanitize_mode(options.sanitize)
+    if sanitize_mode != "off":
+        # Batched evolution has no per-op hook; run the final-state
+        # checks on every element of the stack (lazy import keeps the
+        # default path analysis-free, like _circuit_reports).
+        from repro.analysis.sanitize import sanitize_batch
+
+        sanitize_batch(plan, batch_states, sanitize_mode)
+    per_observable = [
+        expectation_batched(batch_states, observable)
+        for observable in options.observables
+    ]
+    element_time = run_time / len(bindings)
+    return [
+        _state_payload(
+            index,
+            backend._finalize(batch_states[index], plan.num_qubits),
+            options,
+            element_time,
+            values=tuple(values[index] for values in per_observable),
+        )
+        for index in range(len(bindings))
+    ]
+
+
 def _run_sweep(
     template: Circuit,
     backend: Any,
@@ -575,10 +627,6 @@ def _run_sweep(
             template, backend, options
         )
         bound_template = plan.circuit
-
-        def run_point(point: Dict[str, float]) -> Any:
-            return backend.execute_plan(plan.bind(point))
-
     else:
         compile_time = 0.0
         transpile_time = 0.0
@@ -589,10 +637,6 @@ def _run_sweep(
             t0 = time.perf_counter()
             bound_template = transpile(template, passes=options.passes)
             transpile_time = time.perf_counter() - t0
-        element_options = options.replace(optimize=False, passes=None)
-
-        def run_point(point: Dict[str, float]) -> Any:
-            return backend.run(bound_template.bind(point), options=element_options)
 
     diagnostics = None
     if reports is not None:
@@ -607,126 +651,35 @@ def _run_sweep(
         diagnostics = tuple(report)
 
     workers = _effective_workers(options)
-    results: List[Result] = []
     if use_batched:
-        from repro.observables import expectation_batched
-        from repro.plan import run_batched_sweep
-
-        t0 = time.perf_counter()
-        batch_states = run_batched_sweep(plan, bindings)
-        run_time = time.perf_counter() - t0
-        sanitize_mode = resolve_sanitize_mode(options.sanitize)
-        if sanitize_mode != "off":
-            # Batched evolution has no per-op hook; run the final-state
-            # checks on every element of the stack (lazy import keeps the
-            # default path analysis-free, like _circuit_reports).
-            from repro.analysis.sanitize import sanitize_batch
-
-            sanitize_batch(plan, batch_states, sanitize_mode)
-        per_observable = [
-            expectation_batched(batch_states, observable)
-            for observable in options.observables
-        ]
-        element_time = run_time / len(bindings)
-        for index, point in enumerate(bindings):
-            state = backend._finalize(batch_states[index], plan.num_qubits)
-            values = tuple(values[index] for values in per_observable)
-            metadata = {
-                "backend": backend.name,
-                "seed": derive_seed(options.seed, index),
-                "run_time_s": element_time,
-                "sample_time_s": 0.0,
-            }
-            if diagnostics is not None:
-                metadata["diagnostics"] = diagnostics
-            results.append(
-                Result(
-                    # Deferred: Result.circuit resolves the bound circuit
-                    # on first access, so an N-point sweep does not pay N
-                    # full template re-binds just to fill a field most
-                    # consumers never read.
-                    lambda point=point: bound_template.bind(point),
-                    state,
-                    observables=options.observables,
-                    expectation_values=values,
-                    parameters=point,
-                    metadata=metadata,
-                )
-            )
+        payloads = _batched_payloads(plan, bindings, options, backend)
+    elif plan_capable:
+        payloads = _plan_payloads(
+            [plan] * len(bindings), bindings, options, backend, workers
+        )
     else:
-        if plan_capable:
-            if workers > 1 and len(bindings) > 1:
-                # The plan compiled (and pickles) once; workers only
-                # bind/execute/sample.  Per-element seeds derive from the
-                # element index, so the fan-out is results-invisible.
-                from repro.service.pool import dump_plan
-
-                blob = dump_plan(plan)
-                payloads = _parallel_elements(
-                    [blob] * len(bindings), bindings, options, backend, workers
-                )
-            else:
-                payloads = [
-                    element_payload(
-                        plan, point, index, options, backend, workers=workers
-                    )
-                    for index, point in enumerate(bindings)
-                ]
-        else:
-            # Protocol-only backends have no plan to ship; they sweep
-            # serially (sharded sampling still applies, still off the
-            # element-index seeds).
-            payloads = []
-            for index, point in enumerate(bindings):
-                t0 = time.perf_counter()
-                state = run_point(point)
-                run_time = time.perf_counter() - t0
-                counts = memory = None
-                sample_time = 0.0
-                if options.shots:
-                    t0 = time.perf_counter()
-                    counts, memory = _sample(
-                        state, options, index, workers=workers
-                    )
-                    sample_time = time.perf_counter() - t0
-                values = tuple(
-                    expectation(state, observable)
-                    for observable in options.observables
-                )
-                payloads.append(
-                    {
-                        "index": index,
-                        "state": state,
-                        "counts": counts,
-                        "memory": memory,
-                        "values": values,
-                        "run_time_s": run_time,
-                        "sample_time_s": sample_time,
-                    }
-                )
-        for payload, point in zip(payloads, bindings):
-            metadata = {
-                "backend": backend.name,
-                "seed": derive_seed(options.seed, payload["index"]),
-                "run_time_s": payload["run_time_s"],
-                "sample_time_s": payload["sample_time_s"],
-            }
-            if "expectation_std" in payload:
-                metadata["expectation_std"] = payload["expectation_std"]
-            if diagnostics is not None:
-                metadata["diagnostics"] = diagnostics
-            results.append(
-                Result(
-                    lambda point=point: bound_template.bind(point),
-                    payload["state"],
-                    counts=payload["counts"],
-                    memory=payload["memory"],
-                    observables=options.observables,
-                    expectation_values=payload["values"],
-                    parameters=point,
-                    metadata=metadata,
-                )
+        # Protocol-only backends have no plan to ship; they sweep serially.
+        element_options = options.replace(optimize=False, passes=None)
+        payloads = [
+            _protocol_payload(
+                backend, bound_template.bind(point), index, options, element_options
             )
+            for index, point in enumerate(bindings)
+        ]
+    results = [
+        _payload_result(
+            payload,
+            # Deferred: Result.circuit resolves the bound circuit on first
+            # access, so an N-point sweep does not pay N full template
+            # re-binds just to fill a field most consumers never read.
+            lambda point=point: bound_template.bind(point),
+            point,
+            options,
+            backend.name,
+            diagnostics,
+        )
+        for payload, point in zip(payloads, bindings)
+    ]
     return BatchResult(
         results,
         metadata={
@@ -756,25 +709,6 @@ def _run_batch(
     reports = _circuit_reports(circuits, backend, options)
     transpile_time = 0.0
     compile_time = 0.0
-    if not plan_capable and (options.optimize or options.passes is not None):
-        # Protocol-only backends know nothing of plans: transpile here,
-        # then hand them pre-optimised circuits with optimisation off.
-        from repro.transpile import transpile
-
-        t0 = time.perf_counter()
-        circuits = [transpile(c, passes=options.passes) for c in circuits]
-        transpile_time = time.perf_counter() - t0
-    element_options = options.replace(optimize=False, passes=None)
-
-    for index, circuit in enumerate(circuits):
-        unbound = circuit.parameters()
-        if unbound:
-            raise ExecutionError(
-                f"circuit {index} still has unbound parameter(s) "
-                f"{[p.name for p in unbound]}; bind them or pass "
-                "parameter_sweep="
-            )
-
     workers = _effective_workers(options)
     if plan_capable:
         # Compile every element in the parent (through the plan cache)
@@ -798,75 +732,38 @@ def _run_batch(
             ]
             _enforce_validation(reports, options)
         result_circuits = [plan.circuit for plan in plans]
-        if workers > 1 and len(plans) > 1:
-            from repro.service.pool import dump_plan
-
-            blobs = [dump_plan(plan) for plan in plans]
-            payloads = _parallel_elements(
-                blobs, [None] * len(plans), options, backend, workers
-            )
-        else:
-            payloads = [
-                element_payload(
-                    plan, None, index, options, backend, workers=workers
-                )
-                for index, plan in enumerate(plans)
-            ]
+        payloads = _plan_payloads(
+            plans, [None] * len(plans), options, backend, workers
+        )
     else:
+        if options.optimize or options.passes is not None:
+            # Protocol-only backends know nothing of plans: transpile
+            # here, then hand them pre-optimised circuits with
+            # optimisation off.
+            from repro.transpile import transpile
+
+            t0 = time.perf_counter()
+            circuits = [transpile(c, passes=options.passes) for c in circuits]
+            transpile_time = time.perf_counter() - t0
         if reports is not None:
             _enforce_validation(reports, options)
         result_circuits = circuits
-        payloads = []
-        for index, circuit in enumerate(circuits):
-            t0 = time.perf_counter()
-            state = backend.run(circuit, options=element_options)
-            run_time = time.perf_counter() - t0
-            counts = memory = None
-            sample_time = 0.0
-            if options.shots:
-                t0 = time.perf_counter()
-                counts, memory = _sample(state, options, index, workers=workers)
-                sample_time = time.perf_counter() - t0
-            values = tuple(
-                expectation(state, observable)
-                for observable in options.observables
-            )
-            payloads.append(
-                {
-                    "index": index,
-                    "state": state,
-                    "counts": counts,
-                    "memory": memory,
-                    "values": values,
-                    "run_time_s": run_time,
-                    "sample_time_s": sample_time,
-                }
-            )
-
-    results: List[Result] = []
-    for payload, result_circuit in zip(payloads, result_circuits):
-        metadata = {
-            "backend": backend.name,
-            "seed": derive_seed(options.seed, payload["index"]),
-            "run_time_s": payload["run_time_s"],
-            "sample_time_s": payload["sample_time_s"],
-        }
-        if "expectation_std" in payload:
-            metadata["expectation_std"] = payload["expectation_std"]
-        if reports is not None:
-            metadata["diagnostics"] = tuple(reports[payload["index"]])
-        results.append(
-            Result(
-                result_circuit,
-                payload["state"],
-                counts=payload["counts"],
-                memory=payload["memory"],
-                observables=options.observables,
-                expectation_values=payload["values"],
-                parameters=None,
-                metadata=metadata,
-            )
+        element_options = options.replace(optimize=False, passes=None)
+        payloads = [
+            _protocol_payload(backend, circuit, index, options, element_options)
+            for index, circuit in enumerate(circuits)
+        ]
+    results = [
+        _payload_result(
+            payload,
+            circuit,
+            None,
+            options,
+            backend.name,
+            None if reports is None else tuple(reports[payload["index"]]),
         )
+        for payload, circuit in zip(payloads, result_circuits)
+    ]
     if single:
         return results[0]
     return BatchResult(

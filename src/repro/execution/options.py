@@ -79,8 +79,9 @@ class RunOptions:
         ``Pass`` objects); implies optimisation.
     noise_model:
         Declarative :class:`~repro.noise.NoiseModel`.  Gate-noise rules
-        require the density-matrix backend; readout error composes with
-        any backend at sampling time.
+        need a mixed-state or stochastic backend (``density_matrix``,
+        ``ptm`` or ``trajectory``); readout error composes with any
+        backend at sampling time.
     observables:
         :class:`~repro.observables.Pauli` / ``PauliSum`` observables to
         evaluate on each final state (a single observable is accepted
@@ -99,21 +100,13 @@ class RunOptions:
         binding.  Either way the parametric template compiles exactly
         once.
     max_workers:
-        Worker processes for per-element sweeps, batches, and sharded
-        shot sampling.  ``None`` (default) defers to the
+        Worker processes for per-element sweeps, batches, and
+        Monte-Carlo trajectories.  ``None`` (default) defers to the
         ``REPRO_MAX_WORKERS`` environment variable (absent -> serial);
         ``1`` forces the serial path.  Worker count never changes
-        results: element/shard seeds derive from positions, not from
-        scheduling, so any ``max_workers`` is bitwise-identical to
+        results: element and trajectory seeds derive from positions, not
+        from scheduling, so any ``max_workers`` is bitwise-identical to
         serial for the same options.
-    shard_shots:
-        Number of shards to split each element's shot sampling into
-        (``0``/``1`` = no sharding).  Shard ``j`` of element ``i`` draws
-        from ``derive_seed(seed, i, j)``, so the merged counts depend
-        only on ``(seed, shard_shots)`` — sharded sampling is applied on
-        the serial path too, keeping results independent of
-        ``max_workers``.  Note k > 1 shards draw from k derived streams,
-        so counts differ (validly) from the unsharded stream.
     validate:
         Static analysis of every circuit (and its compiled plan) before
         execution: ``"off"`` (default) skips it entirely, ``"warn"``
@@ -150,7 +143,6 @@ class RunOptions:
     memory: bool = False
     sweep_mode: str = "auto"
     max_workers: Optional[int] = None
-    shard_shots: int = 0
     validate: str = "off"
     certify: bool = False
     sanitize: Optional[str] = None
@@ -195,13 +187,6 @@ class RunOptions:
                     f"{self.max_workers!r}"
                 )
             object.__setattr__(self, "max_workers", max_workers)
-        shard_shots = _as_int(self.shard_shots)
-        if shard_shots is None or shard_shots < 0:
-            raise ExecutionError(
-                f"shard_shots must be a non-negative int, got "
-                f"{self.shard_shots!r}"
-            )
-        object.__setattr__(self, "shard_shots", shard_shots)
         if self.validate not in ("off", "warn", "strict"):
             raise ExecutionError(
                 f"validate must be 'off', 'warn', or 'strict', "

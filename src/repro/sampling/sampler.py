@@ -12,15 +12,16 @@ noiseless mixed-state run reproduces the statevector backend's counts
 exactly under the same seed.
 
 Noise: a :class:`~repro.noise.NoiseModel` passed as ``noise_model=``
-applies its gate channels during simulation (circuit sources only; this
-requires the density-matrix backend) and its classical readout error to
-the probability vector just before the draw.
+applies its gate channels during simulation (circuit sources only, on a
+mixed-state or stochastic backend: ``density_matrix``, ``ptm`` or
+``trajectory``) and its classical readout error to the probability
+vector just before the draw.
 
 Reproducibility contract: an integer ``seed`` plus a ``repetition`` index is
 mixed through :func:`repro.utils.rng.derive_seed`, so repeated runs of the
 same ``(seed, repetition)`` return identical results while different
 repetitions get independent streams — regardless of the order in which they
-execute (see ``repro.parallel``, future work).
+execute.
 
 This module is also the sampling primitive of the execution layer:
 :func:`repro.execute` draws through the same
@@ -119,12 +120,45 @@ def counts_from_probabilities(
     )
 
 
+def _draw_shots(
+    probs: np.ndarray, shots: int, rng: np.random.Generator, num_qubits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One vectorised per-shot draw as ``(indices, tally, labels)``.
+
+    ``tally`` counts every basis index and ``labels`` holds the bitstring
+    of each index that occurred, formatted once, so per-shot memory is a
+    single ``labels[indices]`` gather instead of one format per shot.
+    """
+    indices = rng.choice(probs.size, size=shots, p=probs)
+    tally = np.bincount(indices, minlength=probs.size)
+    observed = np.flatnonzero(tally)
+    labels = np.empty(probs.size, dtype=object)
+    labels[observed] = [index_to_bitstring(int(i), num_qubits) for i in observed]
+    return indices, tally, labels
+
+
 def memory_from_probabilities(
     probs: np.ndarray, shots: int, rng: np.random.Generator, num_qubits: int
 ) -> List[str]:
     """One vectorised per-shot draw, preserving shot order."""
-    indices = rng.choice(probs.size, size=shots, p=probs)
-    return [index_to_bitstring(int(i), num_qubits) for i in indices]
+    indices, _, labels = _draw_shots(probs, shots, rng, num_qubits)
+    return labels[indices].tolist()
+
+
+def counts_and_memory_from_probabilities(
+    probs: np.ndarray, shots: int, rng: np.random.Generator, num_qubits: int
+) -> Tuple[Counts, List[str]]:
+    """The per-shot draw of :func:`memory_from_probabilities` plus its tally.
+
+    Counts come from the same draw as the memory, so the two views of one
+    experiment always agree.
+    """
+    indices, tally, labels = _draw_shots(probs, shots, rng, num_qubits)
+    counts = Counts(
+        {labels[i]: int(tally[i]) for i in np.flatnonzero(tally)},
+        num_qubits=num_qubits,
+    )
+    return counts, labels[indices].tolist()
 
 
 def _prepare(
@@ -177,8 +211,8 @@ def sample_counts(
         ``"statevector"``); ignored when ``source`` is a state.
     noise_model:
         Optional :class:`~repro.noise.NoiseModel`: gate channels applied
-        during simulation (circuit sources, density-matrix backend),
-        readout error applied to the probabilities before drawing.
+        during simulation (circuit sources on a mixed-state or
+        stochastic backend), readout error applied to the probabilities before drawing.
     """
     state, rng, probs = _prepare(source, shots, seed, repetition, backend, noise_model)
     return counts_from_probabilities(probs, shots, rng, state.num_qubits)

@@ -1,11 +1,10 @@
-"""Parallel execution service: worker pool, sharding, async job queue.
+"""Parallel execution service: worker pool and async job queue.
 
 This layer scales the execution front door out across processes without
-changing a single result bit:
+changing a single result bit.  Seeds derive from *coordinates* (element
+index, trajectory index), never from scheduling, so results are
+invariant under worker count:
 
-* :mod:`repro.service.sharding` — deterministic shard math.  Seeds are
-  derived from *coordinates* (element index, shard index), never from
-  scheduling, so the merged outcome is invariant under worker count.
 * :mod:`repro.service.pool` — the process pool.  The parent compiles and
   pickles each plan once; workers cache unpickled plans by digest and
   only ever ``bind()`` them.
@@ -31,13 +30,6 @@ from repro.service.queue import (
     default_service,
     execute_async,
 )
-from repro.service.sharding import (
-    effective_shard_count,
-    merge_counts,
-    merge_memory,
-    shard_seeds,
-    shard_sizes,
-)
 
 __all__ = [
     "ExecutionService",
@@ -45,12 +37,7 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "configure_default_service",
     "default_service",
-    "effective_shard_count",
     "execute_async",
-    "merge_counts",
-    "merge_memory",
     "resolve_max_workers",
-    "shard_seeds",
-    "shard_sizes",
     "shutdown_pool",
 ]

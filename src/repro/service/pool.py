@@ -9,8 +9,8 @@ Division of labour:
   unpickled plans (:func:`load_plan`), so a plan crossing the pipe N
   times is deserialised once per worker and then only re-*bound* — the
   shared-plan-cache analogue across process boundaries.
-* Task functions here are thin picklable shims; the element/shard
-  payload logic lives in :mod:`repro.execution.api` (imported lazily
+* Task functions here are thin picklable shims; the element and
+  trajectory payload logic lives in :mod:`repro.execution.api` (imported lazily
   inside the task), so the serial and parallel paths literally run the
   same code and stay bitwise-identical.
 
@@ -170,15 +170,6 @@ def _element_task(
     from repro.execution.api import element_payload
 
     return element_payload(load_plan(plan_blob), point, index, options, backend)
-
-
-def _shard_task(
-    probs: Any, shots: int, seed: Optional[int], num_qubits: int, memory: bool
-) -> Tuple[Any, Optional[List[str]]]:
-    """One shot shard sampled from a precomputed probability vector."""
-    from repro.execution.api import sample_shard
-
-    return sample_shard(probs, shots, seed, num_qubits, memory)
 
 
 def _trajectory_task(

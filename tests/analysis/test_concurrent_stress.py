@@ -120,14 +120,15 @@ class TestParallelExecutionParity:
         self, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SANITIZE", "strict")
-        circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2)
-        serial = execute(
-            circuit, shots=256, seed=9, shard_shots=4, max_workers=1
-        )
-        parallel = execute(
-            circuit, shots=256, seed=9, shard_shots=4, max_workers=2
-        )
-        assert serial.counts == parallel.counts
+        circuits = [
+            Circuit(3).h(0).cx(0, 1).cx(1, 2),
+            Circuit(3).h(0).h(1).cx(1, 2),
+        ]
+        serial = execute(circuits, shots=256, seed=9, max_workers=1)
+        parallel = execute(circuits, shots=256, seed=9, max_workers=2)
+        assert parallel.metadata["workers"] == 2
+        for a, b in zip(serial, parallel):
+            assert a.counts == b.counts
 
     def test_batched_sweep_sanitized_matches_per_element(self):
         circuit = _template()

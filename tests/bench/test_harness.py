@@ -69,19 +69,6 @@ _PARALLEL_SWEEP_KEYS = {
     "workers1_matches_serial",
 }
 
-_PARALLEL_SHARD_KEYS = {
-    "name",
-    "num_qubits",
-    "shots",
-    "shard_shots",
-    "run_time_serial_s",
-    "run_time_parallel_s",
-    "parallel_speedup",
-    "counts_match",
-    "unsharded_matches_shard1",
-}
-
-
 def _strict_loads(payload: str):
     """json.loads rejecting the non-standard Infinity/NaN tokens."""
 
@@ -98,7 +85,7 @@ def smoke_report():
 
 class TestRunSuite:
     def test_schema(self, smoke_report):
-        assert smoke_report["schema_version"] == SCHEMA_VERSION == 7
+        assert smoke_report["schema_version"] == SCHEMA_VERSION == 8
         assert smoke_report["config"]["smoke"] is True
         assert smoke_report["config"]["backend"] == "statevector"
         assert smoke_report["config"]["sweep"] is False
@@ -244,28 +231,22 @@ class TestParallelSection:
         section = parallel_report["parallel"]
         assert parallel_report["config"]["parallel"] is True
         assert parallel_report["config"]["workers"] == 2
-        assert set(section) == {"workers", "cpu_count", "sweep", "sharded_shots"}
+        assert set(section) == {"workers", "cpu_count", "sweep"}
         assert section["workers"] == 2
         assert section["cpu_count"] is None or section["cpu_count"] >= 1
         assert set(section["sweep"]) == _PARALLEL_SWEEP_KEYS
-        assert set(section["sharded_shots"]) == _PARALLEL_SHARD_KEYS
 
     def test_parity_booleans_hold(self, parallel_report):
         section = parallel_report["parallel"]
         assert section["sweep"]["results_match"] is True
         assert section["sweep"]["workers1_matches_serial"] is True
-        assert section["sharded_shots"]["counts_match"] is True
-        assert section["sharded_shots"]["unsharded_matches_shard1"] is True
 
     def test_timings_and_speedups_sane(self, parallel_report):
-        for leg in (
-            parallel_report["parallel"]["sweep"],
-            parallel_report["parallel"]["sharded_shots"],
-        ):
-            assert leg["run_time_serial_s"] > 0
-            assert leg["run_time_parallel_s"] > 0
-            speedup = leg["parallel_speedup"]
-            assert speedup is None or (math.isfinite(speedup) and speedup > 0)
+        leg = parallel_report["parallel"]["sweep"]
+        assert leg["run_time_serial_s"] > 0
+        assert leg["run_time_parallel_s"] > 0
+        speedup = leg["parallel_speedup"]
+        assert speedup is None or (math.isfinite(speedup) and speedup > 0)
 
     def test_strict_json_round_trip(self, parallel_report):
         payload = json.dumps(parallel_report)
@@ -490,7 +471,7 @@ class TestCli:
         assert report["sweep"]["reproducible"] is True
 
     def test_main_json_smoke_parallel(self, capsys):
-        # The CI parallel leg, in-process: both legs present, parity
+        # The CI parallel leg, in-process: the sweep leg present, parity
         # booleans green, and the exit code reflects them.
         exit_code = main(
             ["--json", "--smoke", "--parallel", "--workers", "2", "--shots", "64"]
@@ -500,14 +481,14 @@ class TestCli:
         assert report["config"]["parallel"] is True
         assert report["parallel"]["workers"] == 2
         assert report["parallel"]["sweep"]["results_match"] is True
-        assert report["parallel"]["sharded_shots"]["counts_match"] is True
+        assert set(report["parallel"]) == {"workers", "cpu_count", "sweep"}
 
     def test_main_parallel_table_line(self, capsys):
         exit_code = main(["--smoke", "--parallel", "--shots", "64"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "parallel/sweep" in out
-        assert "parallel/shards" in out
+        assert "parallel/shards" not in out
 
     def test_main_density_backend_full_size_refused_cleanly(self, capsys):
         # --backend density_matrix without --smoke targets n=16 workloads:

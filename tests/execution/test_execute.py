@@ -1,5 +1,7 @@
 """Tests for the execute() front door, Job handles, and batch results."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,10 @@ from repro import (
     sample_counts,
 )
 from repro.execution import submit
+from repro.execution.api import sample_shard
+from repro.sampling.sampler import memory_from_probabilities
 from repro.transpile import Pass
+from repro.utils.bitstrings import index_to_bitstring
 from repro.utils.exceptions import ExecutionError
 
 
@@ -72,6 +77,24 @@ class TestSingleCircuit:
         for outcome in result.memory:
             tally[outcome] = tally.get(outcome, 0) + 1
         assert dict(result.counts) == tally
+
+    def test_memory_agrees_with_counts_at_scale(self):
+        # 2**12 outcomes and 50k shots: distinct outcomes are formatted
+        # once, yet memory must equal formatting every shot of the same
+        # seeded draw, and the counts must tally exactly that memory.
+        num_qubits, shots, seed = 12, 50_000, 4
+        probs = np.random.default_rng(0).random(1 << num_qubits)
+        probs /= probs.sum()
+        draw = np.random.default_rng(seed).choice(probs.size, size=shots, p=probs)
+        expected = [index_to_bitstring(int(i), num_qubits) for i in draw]
+        memory = memory_from_probabilities(
+            probs, shots, np.random.default_rng(seed), num_qubits
+        )
+        assert memory == expected
+        counts, shard_memory = sample_shard(probs, shots, seed, num_qubits, True)
+        assert shard_memory == expected
+        assert dict(counts) == dict(Counter(shard_memory))
+        assert counts.num_qubits == num_qubits
 
     def test_metadata_carries_backend_and_timing(self):
         result = execute(_bell(), shots=16, seed=1)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro import Pauli, PauliSum, RunOptions
+from repro import Circuit, Pauli, PauliSum, RunOptions, execute
 from repro.utils.exceptions import ExecutionError
 
 
@@ -81,10 +81,16 @@ class TestCoerce:
             RunOptions.coerce(RunOptions(), shots=8)
 
     def test_unknown_keyword_lists_valid_options(self):
-        with pytest.raises(ExecutionError) as excinfo:
-            RunOptions.coerce(None, shotz=8)
-        message = str(excinfo.value)
-        assert "shotz" in message and "shots" in message
+        # shard_shots was a real option until shot sharding was removed.
+        for unknown in ("shotz", "shard_shots"):
+            with pytest.raises(ExecutionError) as excinfo:
+                RunOptions.coerce(None, **{unknown: 8})
+            message = str(excinfo.value)
+            assert repr(unknown) in message and "'shots'" in message
+
+    def test_execute_rejects_removed_shard_shots(self):
+        with pytest.raises(ExecutionError, match="shard_shots"):
+            execute(Circuit(1).h(0), shots=8, shard_shots=4)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ExecutionError, match="RunOptions"):
@@ -112,7 +118,6 @@ class TestParallelOptions:
     def test_defaults_are_serial(self):
         options = RunOptions()
         assert options.max_workers is None
-        assert options.shard_shots == 0
 
     def test_max_workers_accepts_positive_ints(self):
         assert RunOptions(max_workers=1).max_workers == 1
@@ -127,15 +132,6 @@ class TestParallelOptions:
         for bad in (2.5, "4", True):
             with pytest.raises(ExecutionError, match="max_workers"):
                 RunOptions(max_workers=bad)
-
-    def test_shard_shots_accepts_non_negative_ints(self):
-        assert RunOptions(shard_shots=0).shard_shots == 0
-        assert RunOptions(shard_shots=16).shard_shots == 16
-
-    def test_shard_shots_rejects_invalid(self):
-        for bad in (-1, 1.5, "2", True):
-            with pytest.raises(ExecutionError, match="shard_shots"):
-                RunOptions(shard_shots=bad)
 
     def test_replace_revalidates_parallel_fields(self):
         with pytest.raises(ExecutionError, match="max_workers"):

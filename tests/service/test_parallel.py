@@ -1,12 +1,14 @@
 """Worker-count invariance: parallel execution is bitwise-identical.
 
-Element and shard seeds derive from positions (element index, shard
-index), never from scheduling, so for any fixed options the results of
-``max_workers=N`` must equal ``max_workers=1`` — which in turn takes
-literally the serial code path.  These tests pin that contract for
-sweeps, batches, and sharded shots, on both backends, with and without
-noise, plus the compile-once guarantee for parallel sweeps.
+Element seeds derive from positions (the element index), never from
+scheduling, so for any fixed options the results of ``max_workers=N``
+must equal ``max_workers=1`` — which in turn takes literally the serial
+code path.  These tests pin that contract for sweeps and batches, on
+both backends, with and without noise, plus the compile-once guarantee
+for parallel sweeps.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,53 +175,14 @@ class TestBatchParity:
         parallel = execute(self._circuits(), max_workers=WORKERS, **kwargs)
         _assert_results_equal(serial, parallel)
 
-
-class TestShardedShots:
-    def _ghz(self) -> Circuit:
-        return Circuit(3).h(0).cx(0, 1).cx(1, 2)
-
-    def test_shard_count_one_is_bitwise_serial(self):
-        plain = execute(self._ghz(), shots=500, seed=42)
-        sharded = execute(self._ghz(), shots=500, seed=42, shard_shots=1)
-        assert plain.counts == sharded.counts
-
-    def test_merged_counts_independent_of_workers(self):
-        serial = execute(self._ghz(), shots=1000, seed=42, shard_shots=4)
-        parallel = execute(
-            self._ghz(), shots=1000, seed=42, shard_shots=4, max_workers=WORKERS
-        )
-        assert serial.counts == parallel.counts
-        assert serial.counts.shots == 1000
-
-    def test_sharded_memory_preserves_shard_order(self):
-        serial = execute(
-            self._ghz(), shots=64, seed=7, shard_shots=3, memory=True
-        )
-        parallel = execute(
-            self._ghz(),
-            shots=64,
-            seed=7,
-            shard_shots=3,
-            memory=True,
-            max_workers=WORKERS,
-        )
-        assert serial.memory == parallel.memory
-        assert serial.counts == parallel.counts
-        assert len(serial.memory) == 64
-
-    def test_shard_count_is_reproducible(self):
-        a = execute(self._ghz(), shots=300, seed=5, shard_shots=4)
-        b = execute(self._ghz(), shots=300, seed=5, shard_shots=4)
-        assert a.counts == b.counts
-
-    def test_sharding_in_sweep_elements(self):
-        template = _template()
-        kwargs = dict(shots=120, seed=3, shard_shots=3)
-        serial = execute(template, parameter_sweep=_sweep(4), **kwargs)
-        parallel = execute(
-            template, parameter_sweep=_sweep(4), max_workers=WORKERS, **kwargs
-        )
+    def test_batch_with_memory(self):
+        kwargs = dict(shots=64, seed=7, memory=True)
+        serial = execute(self._circuits(), **kwargs)
+        parallel = execute(self._circuits(), max_workers=WORKERS, **kwargs)
         _assert_results_equal(serial, parallel)
+        for result in serial:
+            assert len(result.memory) == 64
+            assert result.counts == Counter(result.memory)
 
 
 class TestWorkerResolution:

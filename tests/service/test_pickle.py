@@ -119,7 +119,6 @@ class TestOptionsAndModelRoundTrip:
             memory=True,
             observables=(Pauli("ZZ"),),
             max_workers=3,
-            shard_shots=4,
         )
         copy = roundtrip(options)
         assert copy == options

@@ -2,7 +2,7 @@
 
 The PTM engine must be *indistinguishable* from the density-matrix
 engine on everything it supports (counts, states, expectations, sweeps,
-sharding) while provably doing less work (gate+channel runs fused into
+worker pools) while provably doing less work (gate+channel runs fused into
 fewer plan ops).  Both halves of that contract are pinned here.
 """
 
@@ -484,14 +484,19 @@ class TestSanitizerUnderstandsPauliBasis:
 
 
 class TestServiceParity:
-    def test_sharded_shots_match_density_sharded(self):
-        circuit = ghz_depolarizing(3)
-        kwargs = dict(shots=2000, seed=19, shard_shots=500, max_workers=2)
+    def test_parallel_batch_matches_serial_density(self):
+        circuits = [ghz_depolarizing(3), ghz_depolarizing(2)]
+        kwargs = dict(shots=2000, seed=19)
         res_density = repro.execute(
-            circuit, options=RunOptions(backend="density_matrix", **kwargs)
+            circuits,
+            options=RunOptions(backend="density_matrix", max_workers=1, **kwargs),
         )
-        res_ptm = repro.execute(circuit, options=RunOptions(backend="ptm", **kwargs))
-        assert dict(res_ptm.counts) == dict(res_density.counts)
+        res_ptm = repro.execute(
+            circuits, options=RunOptions(backend="ptm", max_workers=2, **kwargs)
+        )
+        assert res_ptm.metadata["workers"] == 2
+        for a, b in zip(res_ptm, res_density):
+            assert dict(a.counts) == dict(b.counts)
 
     def test_parallel_sweep_matches_serial(self):
         circuit, parameters = parameterized_rotations(2)

@@ -15,6 +15,7 @@ from repro import (
     execute,
     get_backend,
 )
+from repro.execution.api import shard_sizes
 from repro.utils.exceptions import ExecutionError
 
 
@@ -167,3 +168,23 @@ class TestContract:
         )
         assert result.counts.num_qubits == 1
         assert set(result.counts) <= {"0", "1"}
+
+
+class TestShardSizes:
+    """The split of one element's trajectories across pool workers."""
+
+    @pytest.mark.parametrize(
+        "total,num_shards",
+        [(0, 1), (1, 1), (10, 3), (10, 10), (1000, 7), (5, 2)],
+    )
+    def test_sizes_sum_to_total(self, total, num_shards):
+        sizes = shard_sizes(total, num_shards)
+        assert len(sizes) == num_shards
+        assert sum(sizes) == total
+
+    def test_remainder_goes_to_leading_shards(self):
+        assert shard_sizes(10, 3) == [4, 3, 3]
+        assert shard_sizes(11, 4) == [3, 3, 3, 2]
+
+    def test_even_split(self):
+        assert shard_sizes(12, 4) == [3, 3, 3, 3]
