@@ -40,15 +40,14 @@ from repro.plan.plan import (
     STATEVECTOR,
     TRAJECTORY,
     ConditionalOp,
+    ContractOp,
     DensityKrausOp,
     DensityUnitaryOp,
     ExecutionPlan,
     MeasureOp,
     ParametricSlotOp,
-    PTMOp,
     ResetOp,
     TrajectoryKrausOp,
-    UnitaryOp,
 )
 from repro.utils.exceptions import AnalysisError
 
@@ -58,9 +57,9 @@ _PURE_MODES = (STATEVECTOR, TRAJECTORY)
 #: (measure/reset/conditional) are legal everywhere; trajectory Kraus
 #: sampling only on the trajectory engine.
 _MODE_OPS = {
-    STATEVECTOR: (UnitaryOp, ParametricSlotOp, MeasureOp, ResetOp, ConditionalOp),
+    STATEVECTOR: (ContractOp, ParametricSlotOp, MeasureOp, ResetOp, ConditionalOp),
     TRAJECTORY: (
-        UnitaryOp,
+        ContractOp,
         ParametricSlotOp,
         MeasureOp,
         ResetOp,
@@ -76,8 +75,8 @@ _MODE_OPS = {
         ConditionalOp,
     ),
     # PTM lowering rejects dynamic circuits outright, so only the fused
-    # Pauli-transfer ops and parametric slots can appear.
-    PTM: (PTMOp, ParametricSlotOp),
+    # Pauli-transfer contractions and parametric slots can appear.
+    PTM: (ContractOp, ParametricSlotOp),
 }
 
 
@@ -157,13 +156,15 @@ def _check_contraction_axes(
         )
 
 
-def _check_unitary(
-    op: UnitaryOp, plan: ExecutionPlan, site: int
+def _check_contract(
+    op: ContractOp, plan: ExecutionPlan, site: int
 ) -> Iterator[Diagnostic]:
-    label = f"unitary {op.name!r}"
+    """Unitary contraction, or Pauli-transfer contraction in ptm plans."""
+    ptm = plan.mode == PTM
+    label = f"{'PTM' if ptm else 'unitary'} {op.name!r}"
     k = len(op.targets)
     yield from _check_targets(op.targets, plan.num_qubits, label, site)
-    yield from _check_tensor(op.tensor, k, plan.dtype, label, site)
+    yield from _check_tensor(op.tensor, k, plan.dtype, label, site, base=4 if ptm else 2)
     yield from _check_contraction_axes(op, k, label, site)
     if tuple(op.batch_targets) != tuple(t + 1 for t in op.targets):
         yield _error(
@@ -172,16 +173,6 @@ def _check_unitary(
             f"targets shifted past the sweep axis",
             site,
         )
-
-
-def _check_ptm(
-    op: PTMOp, plan: ExecutionPlan, site: int
-) -> Iterator[Diagnostic]:
-    label = f"PTM {op.name!r}"
-    k = len(op.targets)
-    yield from _check_targets(op.targets, plan.num_qubits, label, site)
-    yield from _check_tensor(op.tensor, k, plan.dtype, label, site, base=4)
-    yield from _check_contraction_axes(op, k, label, site)
 
 
 def _check_density_unitary(
@@ -322,13 +313,13 @@ def _check_conditional(
         )
     inner = op.inner
     if plan.mode in _PURE_MODES:
-        if isinstance(inner, UnitaryOp):
-            yield from _check_unitary(inner, plan, site)
+        if isinstance(inner, ContractOp):
+            yield from _check_contract(inner, plan, site)
         else:
             yield _error(
                 "plan-mode-mismatch",
                 f"conditional: inner op {type(inner).__name__} is not a "
-                f"UnitaryOp in a {plan.mode} plan",
+                f"ContractOp in a {plan.mode} plan",
                 site,
             )
     else:
@@ -354,10 +345,8 @@ def _verify_ops(plan: ExecutionPlan) -> Iterator[Diagnostic]:
                 site,
             )
             continue
-        if isinstance(op, UnitaryOp):
-            yield from _check_unitary(op, plan, site)
-        elif isinstance(op, PTMOp):
-            yield from _check_ptm(op, plan, site)
+        if isinstance(op, ContractOp):
+            yield from _check_contract(op, plan, site)
         elif isinstance(op, DensityUnitaryOp):
             yield from _check_density_unitary(op, plan, site)
         elif isinstance(op, DensityKrausOp):

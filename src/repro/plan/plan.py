@@ -18,10 +18,12 @@ per op — see :mod:`repro.plan.batch`).
 
 Four lowering modes exist, selected by the target backend's ``plan_mode``:
 
-* ``"statevector"`` — ops contract onto a ``(2,) * n`` pure-state tensor;
-  channel instructions and gate-noise models are rejected at compile time.
+* ``"statevector"`` — gates become :class:`ContractOp` contractions onto
+  a ``(2,) * n`` pure-state tensor; channel instructions and gate-noise
+  models are rejected at compile time.
 * ``"density"`` — ops conjugate a ``(2,) * 2n`` density tensor
-  (``U rho U†`` as two contractions, channels as Kraus sums); noise-model
+  (``U rho U†`` as two contractions in :class:`DensityUnitaryOp`,
+  channels as Kraus sums in :class:`DensityKrausOp`); noise-model
   rules are matched per instruction *here*, not per run.
 * ``"trajectory"`` — pure-state ops like ``"statevector"``, but channels
   (and matched noise rules) lower to :class:`TrajectoryKrausOp`: at
@@ -30,7 +32,7 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
   evolution at O(2**n) per trajectory.
 * ``"ptm"`` — every gate *and* every channel becomes one real
   ``(4**k, 4**k)`` Pauli-transfer matrix contracting onto the ``(4,) * n``
-  Pauli vector of rho (:class:`PTMOp`).  Because gates and noise now
+  Pauli vector of rho (a base-4 :class:`ContractOp`).  Because gates and noise now
   compose by plain matrix multiplication, lowering feeds gate and channel
   PTMs alike to the shared :class:`~repro.transpile.fusion.Fuser`: each
   program-order run whose qubits stay within
@@ -75,6 +77,7 @@ from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
     from repro.circuit.circuit import CircuitStats
+    from repro.circuit.gate import Gate
     from repro.circuit.instruction import Instruction
     from repro.execution.options import RunOptions
     from repro.noise import NoiseModel
@@ -126,8 +129,17 @@ def _contract(
     return np.moveaxis(out, out_axes, targets)
 
 
-class UnitaryOp:
-    """A gate contraction onto a pure-state tensor, axes precomputed."""
+class ContractOp:
+    """A matrix contraction onto ``targets`` of a ``(base,) * n`` state tensor.
+
+    The one single-sided op of every mode but density: a gate unitary
+    onto a ``(2,) * n`` pure state (``base=2``, statevector and trajectory
+    plans), or a real Pauli-transfer matrix onto the ``(4,) * n`` Pauli
+    vector of rho (``base=4``, ptm plans).  One ptm op routinely covers a
+    whole fused gate+channel run: in that basis noise composes with gates
+    by matrix multiplication, so lowering collapses adjacent runs into a
+    single ``(4**k, 4**k)`` block.
+    """
 
     __slots__ = ("tensor", "targets", "in_axes", "out_axes", "batch_targets", "name")
 
@@ -135,13 +147,18 @@ class UnitaryOp:
     is_dynamic = False
 
     def __init__(
-        self, name: str, matrix: np.ndarray, targets: Sequence[int], dtype: np.dtype
+        self,
+        name: str,
+        matrix: np.ndarray,
+        targets: Sequence[int],
+        dtype: np.dtype,
+        base: int = 2,
     ) -> None:
         k = len(targets)
-        # asarray, not astype: when the backend dtype matches the gate
-        # matrix (the common complex128 case) the cached gate matrix is
-        # shared, exactly as the eager path shared it per application.
-        self.tensor = np.asarray(matrix, dtype=dtype).reshape((2,) * (2 * k))
+        # asarray, not astype: when the backend dtype matches the matrix
+        # (the common complex128 / float64 case) the cached gate matrix or
+        # PTM is shared, not copied per op.
+        self.tensor = np.asarray(matrix, dtype=dtype).reshape((base,) * (2 * k))
         self.targets = tuple(targets)
         self.in_axes = tuple(range(k, 2 * k))
         self.out_axes = tuple(range(k))
@@ -159,7 +176,7 @@ class UnitaryOp:
         )
 
     def __repr__(self) -> str:
-        return f"UnitaryOp({self.name} @ {self.targets})"
+        return f"ContractOp({self.name} @ {self.targets})"
 
 
 class DensityUnitaryOp:
@@ -287,47 +304,13 @@ def _gate_ptm(
     return ptm
 
 
-class PTMOp:
-    """A real Pauli-transfer-matrix contraction onto a ``(4,) * n`` vector.
-
-    The ptm-mode analogue of :class:`UnitaryOp` — same precomputed-axis
-    tensordot discipline, base 4 instead of base 2, float64 instead of
-    complex.  One op routinely covers a whole fused gate+channel run:
-    in this basis noise composes with gates by matrix multiplication, so
-    lowering collapses adjacent runs into a single ``(4**k, 4**k)`` block.
-    """
-
-    __slots__ = ("tensor", "targets", "in_axes", "out_axes", "name")
-
-    is_slot = False
-    is_dynamic = False
-
-    def __init__(
-        self, name: str, matrix: np.ndarray, targets: Sequence[int], dtype: np.dtype
-    ) -> None:
-        k = len(targets)
-        # asarray, not astype: the common float64 case shares the cached
-        # gate/channel PTM instead of copying it per op.
-        self.tensor = np.asarray(matrix, dtype=dtype).reshape((4,) * (2 * k))
-        self.targets = tuple(targets)
-        self.in_axes = tuple(range(k, 2 * k))
-        self.out_axes = tuple(range(k))
-        self.name = name
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        return _contract(state, self.tensor, self.targets, self.in_axes, self.out_axes)
-
-    def __repr__(self) -> str:
-        return f"PTMOp({self.name} @ {self.targets})"
-
-
 class ParametricSlotOp:
     """A placeholder for a gate whose matrix waits on parameter binding.
 
     Carries everything needed to become a concrete op the instant values
     arrive: the registry gate name, the parameter template (bound reals
     mixed with :class:`~repro.circuit.Parameter` symbols), and the target
-    qubits.  :meth:`resolve_matrix` goes through the registry's gate
+    qubits.  :meth:`resolve_gate` goes through the registry's gate
     cache, so repeated bindings of the same value share one matrix.
     """
 
@@ -349,13 +332,16 @@ class ParametricSlotOp:
         self.parameters = tuple(p for p in self.params if isinstance(p, Parameter))
         self.index = index
 
-    def resolve_matrix(self, values: Mapping[str, float]) -> np.ndarray:
+    def resolve_gate(self, values: Mapping[str, float]) -> "Gate":
         from repro.gates import get_gate
 
         bound = tuple(
             values[p.name] if isinstance(p, Parameter) else p for p in self.params
         )
-        return get_gate(self.gate_name, *bound).matrix
+        return get_gate(self.gate_name, *bound)
+
+    def resolve_matrix(self, values: Mapping[str, float]) -> np.ndarray:
+        return self.resolve_gate(values).matrix
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         raise SimulationError(
@@ -501,7 +487,7 @@ class ResetOp:
 class ConditionalOp:
     """A concrete unitary op applied only when a clbit reads ``value``.
 
-    ``inner`` is a fully resolved :class:`UnitaryOp` (pure modes) or
+    ``inner`` is a fully resolved :class:`ContractOp` (pure modes) or
     :class:`DensityUnitaryOp` (density mode) — the branch test is the only
     work left at execution time.
     """
@@ -512,7 +498,7 @@ class ConditionalOp:
     is_dynamic = True
 
     def __init__(
-        self, clbit: int, value: int, inner: Union[UnitaryOp, DensityUnitaryOp]
+        self, clbit: int, value: int, inner: Union[ContractOp, DensityUnitaryOp]
     ) -> None:
         self.clbit = int(clbit)
         self.value = int(value)
@@ -659,10 +645,9 @@ def execute_dynamic_density(
 
 
 PlanOp = Union[
-    UnitaryOp,
+    ContractOp,
     DensityUnitaryOp,
     DensityKrausOp,
-    PTMOp,
     ParametricSlotOp,
     MeasureOp,
     ResetOp,
@@ -838,22 +823,8 @@ class ExecutionPlan:
             if not op.is_slot:
                 ops.append(op)
                 continue
-            matrix = op.resolve_matrix(values)
-            if self._mode in (STATEVECTOR, TRAJECTORY):
-                ops.append(UnitaryOp(op.gate_name, matrix, op.targets, self._dtype))
-            elif self._mode == PTM:
-                bound = tuple(
-                    values[p.name] if isinstance(p, Parameter) else float(p)
-                    for p in op.params
-                )
-                tensor = _gate_ptm(op.gate_name, bound, matrix, len(op.targets))
-                ops.append(PTMOp(op.gate_name, tensor, op.targets, self._dtype))
-            else:
-                ops.append(
-                    DensityUnitaryOp(
-                        op.gate_name, matrix, op.targets, self._num_qubits, self._dtype
-                    )
-                )
+            gate = op.resolve_gate(values)
+            ops.append(_gate_op(gate, op.targets, self._mode, self._num_qubits, self._dtype))
         return ExecutionPlan(
             self._mode,
             self._num_qubits,
@@ -870,6 +841,18 @@ class ExecutionPlan:
         )
 
 
+def _gate_op(
+    gate: "Gate", targets: Sequence[int], mode: str, num_qubits: int, dtype: np.dtype
+) -> PlanOp:
+    """The op applying concrete ``gate`` to ``targets`` in a ``mode`` plan."""
+    if mode == PTM:
+        ptm = _gate_ptm(gate.name, gate.params, gate.matrix, len(targets))
+        return ContractOp(gate.name, ptm, targets, dtype, base=4)
+    if mode == DENSITY:
+        return DensityUnitaryOp(gate.name, gate.matrix, targets, num_qubits, dtype)
+    return ContractOp(gate.name, gate.matrix, targets, dtype)
+
+
 def _lower_dynamic(
     instruction: "Instruction", mode: str, num_qubits: int, dtype: np.dtype
 ) -> PlanOp:
@@ -881,13 +864,7 @@ def _lower_dynamic(
         return ResetOp(instruction.qubits[0], num_qubits)
     # Conditional: the wrapped gate is concrete (Conditional rejects
     # parametric operations), so the inner op resolves fully here.
-    gate = operation.operation
-    if mode in (STATEVECTOR, TRAJECTORY):
-        inner = UnitaryOp(gate.name, gate.matrix, instruction.qubits, dtype)
-    else:
-        inner = DensityUnitaryOp(
-            gate.name, gate.matrix, instruction.qubits, num_qubits, dtype
-        )
+    inner = _gate_op(operation.operation, instruction.qubits, mode, num_qubits, dtype)
     return ConditionalOp(operation.clbit, operation.value, inner)
 
 
@@ -896,9 +873,8 @@ def _lower(
     mode: str,
     dtype: np.dtype,
     noise_model: Optional["NoiseModel"],
-    backend_name: str,
-) -> ExecutionPlan:
-    """Lower a (transpiled) circuit into plan ops for ``mode``.
+) -> List[PlanOp]:
+    """Lower a (transpiled) circuit into the plan ops for ``mode``.
 
     In ``"ptm"`` mode gates and channels alike arrive as real PTMs and go
     through the shared :class:`~repro.transpile.fusion.Fuser` — the
@@ -908,17 +884,13 @@ def _lower(
     ``mode`` (parametric slots in ``"ptm"``); in the other modes it never
     holds a group, so the flush is a no-op.
     """
-    if mode not in (STATEVECTOR, DENSITY, TRAJECTORY, PTM):
-        raise SimulationError(
-            f"unknown plan mode {mode!r}; expected "
-            f"{STATEVECTOR!r}, {DENSITY!r}, {TRAJECTORY!r} or {PTM!r}"
-        )
     n = circuit.num_qubits
-    pure = mode in (STATEVECTOR, TRAJECTORY)
     ops: List[PlanOp] = []
 
     def emit(group: FusionGroup) -> None:
-        ops.append(PTMOp("+".join(group.members), group.matrix, tuple(group.qubits), dtype))
+        ops.append(
+            ContractOp("+".join(group.members), group.matrix, group.qubits, dtype, base=4)
+        )
 
     fuser = Fuser(emit, dim=4)
 
@@ -933,7 +905,7 @@ def _lower(
             raise SimulationError(
                 "circuit contains channel instructions; the statevector "
                 "backend only simulates unitary gates — use "
-                "backend='density_matrix'"
+                "backend='density_matrix', 'ptm' or 'trajectory'"
             )
 
     for index, instruction in enumerate(circuit):
@@ -959,10 +931,8 @@ def _lower(
         elif mode == PTM:
             matrix = _gate_ptm(operation.name, operation.params, operation.matrix, len(qubits))
             fuser.feed(qubits, matrix, operation.name)
-        elif pure:
-            ops.append(UnitaryOp(operation.name, operation.matrix, qubits, dtype))
         else:
-            ops.append(DensityUnitaryOp(operation.name, operation.matrix, qubits, n, dtype))
+            ops.append(_gate_op(operation, qubits, mode, n, dtype))
         if noise_model is not None:
             # Rule matching hoisted out of the run loop: the rules
             # fired by an instruction depend only on its name and
@@ -972,17 +942,7 @@ def _lower(
             for channel, channel_qubits in noise_model.channels_for(instruction):
                 add_channel(channel, channel_qubits)
     fuser.flush()
-    return ExecutionPlan(
-        mode,
-        n,
-        ops,
-        circuit.parameters(),
-        dtype,
-        circuit,
-        backend_name,
-        stats=circuit.stats(),
-        num_clbits=circuit.num_clbits,
-    )
+    return ops
 
 
 def compile_plan(
@@ -994,11 +954,12 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Lower ``circuit`` into an :class:`ExecutionPlan` for ``backend``.
 
-    Transpiles first when ``options.optimize`` / ``options.passes`` ask
-    for it (the lowering itself rides :func:`repro.transpile.transpile`'s
-    ``lower=`` hook, and the pass statistics land on ``plan.pass_stats``),
+    Runs the pass pipeline first when ``options.optimize`` /
+    ``options.passes`` ask for it (that run's statistics land on
+    ``plan.pass_stats``, its wall time on ``plan.transpile_time_s``),
     matches any :class:`~repro.noise.NoiseModel` rules per instruction,
-    and precomputes every op tensor in the backend's dtype.
+    and precomputes every op tensor in the backend's dtype.  Each compile
+    constructs exactly one :class:`ExecutionPlan`.
 
     Parameters
     ----------
@@ -1053,63 +1014,37 @@ def compile_plan(
             return cached
 
     noise_model = options.noise_model
-    has_gate_noise = noise_model is not None and getattr(
-        noise_model, "has_gate_noise", False
-    )
+    if not getattr(noise_model, "has_gate_noise", False):
+        noise_model = None
     start = time.perf_counter()
-    transpile_time = 0.0
+    transpiled = circuit
     pass_stats: Tuple[dict, ...] = ()
+    transpile_time = 0.0
     if options.optimize or options.passes is not None:
-        from repro.transpile import transpile
+        from repro.transpile.base import as_pass_manager
 
-        managers: List = []
-        marks: Dict[str, float] = {}
-
-        def _hooked_lower(transpiled: Circuit) -> ExecutionPlan:
-            # The hook fires the moment the pass pipeline hands over the
-            # optimised circuit, so the transpile/lowering split below is
-            # measured, not estimated.
-            marks["transpiled_at"] = time.perf_counter()
-            return _lower(
-                transpiled,
-                mode,
-                dtype,
-                noise_model if has_gate_noise else None,
-                backend_name,
-            )
-
-        t0 = time.perf_counter()
-        plan = transpile(
-            circuit,
-            passes=options.passes,
-            pass_manager_out=managers,
-            lower=_hooked_lower,
-            certify=options.certify,
+        # The statistics come from this run's own return value, never from
+        # the manager's last_stats: one PassManager may be compiling other
+        # circuits on other threads.
+        transpiled, stats = as_pass_manager(options.passes)._run_with_stats(
+            circuit, options.certify or None
         )
-        transpile_time = marks.get("transpiled_at", time.perf_counter()) - t0
-        if managers:
-            pass_stats = managers[0].last_stats_dicts()
-    else:
-        plan = _lower(
-            circuit,
-            mode,
-            dtype,
-            noise_model if has_gate_noise else None,
-            backend_name,
-        )
+        pass_stats = tuple(entry.as_dict() for entry in stats)
+        transpile_time = time.perf_counter() - start
+    ops = _lower(transpiled, mode, dtype, noise_model)
     plan = ExecutionPlan(
-        plan.mode,
-        plan.num_qubits,
-        plan.ops,
-        plan.parameters,
-        plan.dtype,
-        plan.circuit,
-        plan.backend_name,
+        mode,
+        transpiled.num_qubits,
+        ops,
+        transpiled.parameters(),
+        dtype,
+        transpiled,
+        backend_name,
         pass_stats,
-        plan.stats,
+        transpiled.stats(),
         compile_time_s=time.perf_counter() - start,
         transpile_time_s=transpile_time,
-        num_clbits=plan.num_clbits,
+        num_clbits=transpiled.num_clbits,
     )
     for hook in tuple(_LOWER_HOOKS):
         hook(circuit, plan)

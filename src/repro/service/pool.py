@@ -17,6 +17,9 @@ Division of labour:
 The pool is a lazily created, process-wide
 :class:`~concurrent.futures.ProcessPoolExecutor`, resized on demand and
 replaced outright when a worker dies (a broken pool cannot be reused).
+Workers are forked with numpy's OpenBLAS pinned to one thread: the pool
+already spreads work over the cores, and a forked worker otherwise keeps
+one BLAS thread per core, oversubscribing the host.
 Failures that are about the *transport* — unpicklable payloads, killed
 workers — surface as :class:`~repro.utils.ParallelExecutionError`;
 library errors raised inside a worker (``SimulationError`` etc.) pickle
@@ -25,6 +28,10 @@ fine and propagate unchanged.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import hashlib
 import os
 import pickle
@@ -32,7 +39,18 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.utils.exceptions import ExecutionError, ParallelExecutionError
 
@@ -65,6 +83,57 @@ def resolve_max_workers(max_workers: Optional[int]) -> int:
         ) from None
 
 
+#: OpenBLAS thread-count entry points, newest naming first: the
+#: ``scipy-openblas`` build numpy 2 bundles, then the ILP64 and plain
+#: builds of older numpy wheels.  ``{}`` is ``set`` or ``get``.
+_BLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_function(action: str) -> Optional[Callable[..., int]]:
+    """numpy's bundled OpenBLAS ``action`` (``"set"``/``"get"``) thread-count function.
+
+    Looks in the libraries numpy wheels bundle (``numpy.libs`` on Linux,
+    ``numpy/.dylibs`` on macOS).  Loading an already-loaded library returns
+    the same handle, so the function acts on the copy numpy uses.  ``None``
+    when no such function is found.
+    """
+    import numpy as np
+
+    package = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(package + ".libs", "*openblas*"))
+    paths += glob.glob(os.path.join(package, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for template in _BLAS_THREAD_SYMBOLS:
+            function = getattr(library, template.format(action), None)
+            if function is not None:
+                return function
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    """Run OpenBLAS on one thread inside the block (no-op when not found)."""
+    getter, setter = _blas_thread_function("get"), _blas_thread_function("set")
+    if getter is None or setter is None:
+        yield
+        return
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 def get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool, created or resized to ``workers`` processes."""
     global _POOL, _POOL_WORKERS
@@ -74,18 +143,31 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
         if _POOL is not None and _POOL_WORKERS == workers:
             return _POOL
         if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        _POOL = ProcessPoolExecutor(max_workers=workers)
+            _POOL.shutdown(wait=True)
+        _POOL = pool = ProcessPoolExecutor(max_workers=workers)
         _POOL_WORKERS = workers
-        return _POOL
+    # The first task forks every worker.  Forking under the pin makes each
+    # worker inherit one BLAS thread, so no worker calls OpenBLAS's thread
+    # control itself, which in a forked child can block on a lock another
+    # parent thread held at fork time.  (Start methods that do not fork get
+    # no pin.)  Outside _POOL_LOCK: a fork must not clone a held lock.
+    with _single_threaded_blas():
+        pool.submit(int).result()
+    return pool
 
 
 def shutdown_pool() -> None:
-    """Tear down the shared pool (tests, or after a worker crash)."""
+    """Tear down the shared pool (tests, or after a worker crash).
+
+    Waits for the pool's management thread to finish.  A worker forked
+    while that thread still holds the old executor's internal lock inherits
+    the lock held, and deadlocks once its garbage collector frees its copy
+    of the old executor (whose weakref callback takes that lock).
+    """
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
         if _POOL is not None:
-            _POOL.shutdown(wait=False)
+            _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_WORKERS = 0
 
@@ -102,10 +184,10 @@ def run_tasks(
     :class:`ParallelExecutionError`; exceptions raised *by* ``fn`` in the
     worker propagate as themselves.
     """
-    pool = get_pool(workers)
     try:
+        pool = get_pool(workers)
         futures = [pool.submit(fn, *args) for args in argtuples]
-    except RuntimeError as exc:  # pool shut down from another thread
+    except RuntimeError as exc:  # pool shut down from another thread, or broken
         raise ParallelExecutionError(
             f"worker pool rejected the job: {exc}"
         ) from exc

@@ -17,8 +17,13 @@ the ``backend=`` argument of :func:`run` and the sampling layer):
   each other at lowering time, making it the fast exact engine for noisy
   circuits (no dynamic ops).
 
-User backends implementing the :class:`Backend` protocol join via
-:func:`register_backend`.
+:func:`run` has one spelling, ``run(circuit, initial_state=None,
+backend=None, options=None)``: optimisation, pass pipelines and noise
+models travel in the :class:`~repro.execution.RunOptions` bundle, never
+as keywords.  Every shipped backend compiles through
+:func:`repro.plan.compile_plan` and evolves its state in the one shared
+:meth:`BaseBackend.execute_plan` loop.  User backends implementing the
+:class:`Backend` protocol join via :func:`register_backend`.
 """
 
 from repro.sim.statevector import Statevector, norm_atol

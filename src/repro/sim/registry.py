@@ -9,8 +9,8 @@ of hard-coding a backend class.  Backends register themselves at import
 time (``repro.sim`` imports both shipped backends), and user backends
 join via :func:`register_backend`.
 
-:class:`BaseBackend` implements that ``run()`` once — option resolution,
-legacy-keyword shimming, unbound-parameter rejection, compilation to an
+:class:`BaseBackend` implements that ``run()`` once — option validation,
+unbound-parameter rejection, compilation to an
 :class:`~repro.plan.ExecutionPlan`, and the shared plan-execution loop
 (:meth:`BaseBackend.execute_plan`) — so concrete backends only provide
 their state-representation hooks: :attr:`~BaseBackend.plan_mode`,
@@ -28,7 +28,6 @@ reserved for plan-capable backends (those declaring ``plan_mode``).
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -52,13 +51,6 @@ if TYPE_CHECKING:
     from repro.plan.plan import ExecutionPlan
 
 DEFAULT_BACKEND = "statevector"
-
-_LEGACY_RUN_KWARGS_MESSAGE = (
-    "the optimize=/passes=/noise_model= keywords of run() are deprecated; "
-    "pass a RunOptions (options=RunOptions(optimize=..., passes=..., "
-    "noise_model=...)) or use repro.execute()"
-)
-
 
 @runtime_checkable
 class Backend(Protocol):
@@ -92,7 +84,8 @@ class BaseBackend:
     """
 
     name = "base"
-    # "statevector" or "density": selects the repro.plan lowering mode.
+    # "statevector", "density", "trajectory" or "ptm": selects the
+    # repro.plan lowering mode.
     # Concrete subclasses MUST declare it (compile_plan rejects backends
     # without one, loudly, instead of guessing a state representation).
     plan_mode = None
@@ -102,18 +95,12 @@ class BaseBackend:
         circuit: Circuit,
         initial_state: Any = None,
         options: Optional["RunOptions"] = None,
-        *,
-        optimize: bool = False,
-        passes: Any = None,
-        noise_model: Optional["NoiseModel"] = None,
     ) -> Any:
         """Simulate ``circuit`` from ``initial_state`` under ``options``.
 
-        ``options`` is a :class:`~repro.execution.RunOptions`; the
-        ``optimize`` / ``passes`` / ``noise_model`` keywords are the
-        legacy pre-options surface — **deprecated**, accepted only when
-        ``options`` is not given (the two spellings must not be mixed),
-        and emitting a :class:`DeprecationWarning` when used.
+        ``options`` is a :class:`~repro.execution.RunOptions` (``None``
+        for defaults); optimisation, pass pipelines and noise models are
+        all set there.
         """
         from repro.execution.options import RunOptions
 
@@ -122,23 +109,11 @@ class BaseBackend:
                 f"expected a Circuit, got {type(circuit).__name__}"
             )
         if options is None:
-            if optimize or passes is not None or noise_model is not None:
-                warnings.warn(
-                    _LEGACY_RUN_KWARGS_MESSAGE, DeprecationWarning, stacklevel=2
-                )
-            options = RunOptions(
-                optimize=optimize, passes=passes, noise_model=noise_model
+            options = RunOptions()
+        elif not isinstance(options, RunOptions):
+            raise SimulationError(
+                f"options must be RunOptions, got {type(options).__name__}"
             )
-        else:
-            if optimize or passes is not None or noise_model is not None:
-                raise SimulationError(
-                    "pass either options= or the legacy optimize/passes/"
-                    "noise_model keywords, not both"
-                )
-            if not isinstance(options, RunOptions):
-                raise SimulationError(
-                    f"options must be RunOptions, got {type(options).__name__}"
-                )
         self._validate_noise(options.noise_model)
         unbound = circuit.parameters()
         if unbound:
@@ -334,40 +309,22 @@ def get_backend(backend: BackendLike = None) -> Backend:
 def run(
     circuit: Circuit,
     initial_state: Any = None,
-    optimize: bool = False,
-    passes: Any = None,
     backend: BackendLike = None,
-    noise_model: Optional["NoiseModel"] = None,
     options: Optional["RunOptions"] = None,
 ) -> Any:
     """Simulate ``circuit`` on ``backend`` (default ``"statevector"``).
 
-    A thin shim over the unified backend surface, kept for the original
-    kwarg-style call sites: the keywords are folded into a
-    :class:`~repro.execution.RunOptions` (or ``options=`` is forwarded
-    as-is) and dispatched to ``Backend.run``.  The ``optimize`` /
-    ``passes`` / ``noise_model`` keywords are **deprecated** (a
-    :class:`DeprecationWarning` fires); ``backend=`` remains supported.
-    Returns whatever state type the backend produces
-    (:class:`~repro.sim.Statevector` or :class:`~repro.sim.DensityMatrix`).
+    Resolves the backend (``backend=`` or ``options.backend``) and
+    dispatches to its ``Backend.run`` with ``options`` forwarded as-is.
+    Returns whatever state type the backend produces (e.g.
+    :class:`~repro.sim.Statevector` or :class:`~repro.sim.DensityMatrix`).
     New code wanting counts or expectation values should prefer
     :func:`repro.execute`.
     """
     from repro.execution.options import RunOptions
 
     if options is None:
-        if optimize or passes is not None or noise_model is not None:
-            warnings.warn(
-                _LEGACY_RUN_KWARGS_MESSAGE, DeprecationWarning, stacklevel=2
-            )
-        options = RunOptions(
-            optimize=optimize, passes=passes, noise_model=noise_model
-        )
-    elif optimize or passes is not None or noise_model is not None:
-        raise SimulationError(
-            "pass either options= or the legacy optimize/passes/"
-            "noise_model keywords, not both"
-        )
+        options = RunOptions()
     elif backend is not None and options.backend is not None:
         # Same rule as the other duplicated knobs: never silently pick one.
         raise SimulationError(

@@ -6,8 +6,9 @@ A :class:`Pass` is a pure ``Circuit -> Circuit`` rewrite; a
 pipeline (drop identities, cancel inverse pairs, fuse adjacent gates).
 
 The layer depends only on ``repro.circuit``/``repro.gates`` — simulators
-opt in via ``RunOptions(optimize=True)``, which routes
-through :func:`transpile` without the transpiler ever importing a backend.
+opt in via ``RunOptions(optimize=True)`` or ``RunOptions(passes=...)``,
+and :func:`repro.plan.compile_plan` runs the pipeline without the
+transpiler ever importing a backend.
 """
 
 from repro.transpile.base import Pass, PassManager, PassStats, transpile, default_passes

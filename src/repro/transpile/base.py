@@ -10,17 +10,7 @@ circuit for every pass downstream.
 from __future__ import annotations
 
 import abc
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit import Circuit
 from repro.utils.exceptions import TranspilerError
@@ -119,7 +109,9 @@ class PassManager:
     back a :class:`Circuit` of unchanged register width.  Statistics for
     the most recent :meth:`run` are kept on :attr:`last_stats` so callers
     (e.g. the bench harness) can report per-pass gate/depth deltas without
-    re-measuring.
+    re-measuring.  That slot is shared by every caller of the manager;
+    :func:`repro.plan.compile_plan` instead keeps the statistics its own
+    run returned, so a manager shared across threads stays safe there.
 
     With ``certify=True`` (set here or per :meth:`run`), every pass
     application is proven semantically equivalent by
@@ -149,10 +141,8 @@ class PassManager:
     def last_stats_dicts(self) -> Tuple[dict, ...]:
         """The most recent run's statistics as JSON-serialisable dicts.
 
-        The plan layer stores this on every compiled
-        :class:`~repro.plan.ExecutionPlan` (``plan.pass_stats``) so a
-        plan can report how the circuit it lowered was rewritten without
-        the caller keeping the :class:`PassManager` alive.
+        The same dicts a compiled :class:`~repro.plan.ExecutionPlan`
+        carries as ``plan.pass_stats``.
         """
         return tuple(stats.as_dict() for stats in self._last_stats)
 
@@ -169,6 +159,17 @@ class PassManager:
 
         ``certify`` overrides the manager's default for this run only;
         ``None`` keeps :attr:`certify`.
+        """
+        result, self._last_stats = self._run_with_stats(circuit, certify)
+        return result
+
+    def _run_with_stats(
+        self, circuit: Circuit, certify: Optional[bool] = None
+    ) -> Tuple[Circuit, Tuple[PassStats, ...]]:
+        """:meth:`run` returning ``(circuit, stats)``; leaves :attr:`last_stats` alone.
+
+        Nothing is stored on the manager, so threads sharing one manager
+        each get the statistics of their own run.
         """
         if not isinstance(circuit, Circuit):
             raise TranspilerError(
@@ -211,8 +212,7 @@ class PassManager:
                 )
             )
             current = result
-        self._last_stats = tuple(stats)
-        return current
+        return current, tuple(stats)
 
     def __len__(self) -> int:
         return len(self._passes)
@@ -240,14 +240,24 @@ def default_passes(max_fused_width: int = FUSE_WIDTH) -> Tuple[Pass, ...]:
     )
 
 
+def as_pass_manager(
+    passes: Union[None, PassManager, Sequence[Pass]],
+    max_fused_width: int = FUSE_WIDTH,
+) -> PassManager:
+    """``passes`` as a :class:`PassManager`: ``None`` is the default pipeline."""
+    if isinstance(passes, PassManager):
+        return passes
+    if passes is None:
+        return PassManager(default_passes(max_fused_width))
+    return PassManager(passes)
+
+
 def transpile(
     circuit: Circuit,
     passes: Union[None, PassManager, Sequence[Pass]] = None,
     max_fused_width: int = FUSE_WIDTH,
-    pass_manager_out: Optional[List[PassManager]] = None,
-    lower: Optional[Callable[[Circuit], Any]] = None,
     certify: bool = False,
-) -> Any:
+) -> Circuit:
     """Optimise ``circuit`` through a pass pipeline.
 
     Parameters
@@ -261,30 +271,11 @@ def transpile(
     max_fused_width:
         Width cap for :class:`~repro.transpile.FuseAdjacentGates` when the
         default pipeline is used; ignored if ``passes`` is given.
-    pass_manager_out:
-        Optional list; when provided, the :class:`PassManager` actually
-        used is appended so callers can inspect ``last_stats``.
-    lower:
-        Optional lowering hook: a callable applied to the optimised
-        circuit, whose return value replaces the circuit as this
-        function's result.  ``repro.plan.compile_plan`` routes its
-        circuit-to-:class:`~repro.plan.ExecutionPlan` lowering through
-        this hook so "transpile then lower" is a single pipeline stage.
     certify:
         Prove every pass application semantically equivalent (see
-        :meth:`PassManager.run`); per-pass certificates land on the
-        manager's ``last_stats`` and an unprovable rewrite raises
-        :class:`~repro.utils.exceptions.CertificationError`.
+        :meth:`PassManager.run`); an unprovable rewrite raises
+        :class:`~repro.utils.exceptions.CertificationError`.  Pass a
+        prebuilt :class:`PassManager` to read the per-pass certificates
+        from its ``last_stats`` afterwards.
     """
-    if isinstance(passes, PassManager):
-        manager = passes
-    elif passes is None:
-        manager = PassManager(default_passes(max_fused_width))
-    else:
-        manager = PassManager(passes)
-    if pass_manager_out is not None:
-        pass_manager_out.append(manager)
-    result = manager.run(circuit, certify=certify or None)
-    if lower is not None:
-        return lower(result)
-    return result
+    return as_pass_manager(passes, max_fused_width).run(circuit, certify=certify or None)

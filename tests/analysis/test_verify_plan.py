@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import AnalysisError, verify_plan
 from repro.circuit import Circuit, Parameter
 from repro.plan import compile_plan
-from repro.plan.plan import MeasureOp, ParametricSlotOp, UnitaryOp
+from repro.plan.plan import ContractOp, MeasureOp, ParametricSlotOp
 
 
 def _plan(circuit, backend="statevector"):
@@ -71,7 +71,7 @@ class TestCorruptedPlans:
 
     def test_out_of_range_target(self):
         plan = _plan(Circuit(2).h(0).cx(0, 1))
-        op = _first_op(plan, UnitaryOp)
+        op = _first_op(plan, ContractOp)
         op.targets = (7,)
         report = verify_plan(plan)
         assert "plan-target-range" in report.codes()
@@ -82,7 +82,7 @@ class TestCorruptedPlans:
         two_qubit = [
             op
             for op in plan.ops
-            if isinstance(op, UnitaryOp) and len(op.targets) == 2
+            if isinstance(op, ContractOp) and len(op.targets) == 2
         ][0]
         two_qubit.targets = (1, 1)
         report = verify_plan(plan)
@@ -90,7 +90,7 @@ class TestCorruptedPlans:
 
     def test_wrong_shape_tensor(self):
         plan = _plan(Circuit(2).h(0).cx(0, 1))
-        op = _first_op(plan, UnitaryOp)
+        op = _first_op(plan, ContractOp)
         # Rank 3 can never be (2,) * 2k for any target count.
         op.tensor = np.zeros((2, 2, 2), dtype=plan.dtype)
         report = verify_plan(plan)
@@ -98,21 +98,21 @@ class TestCorruptedPlans:
 
     def test_dtype_mismatch(self):
         plan = _plan(Circuit(1).h(0))
-        op = _first_op(plan, UnitaryOp)
+        op = _first_op(plan, ContractOp)
         op.tensor = op.tensor.astype(np.complex64)
         report = verify_plan(plan)
         assert "plan-dtype-mismatch" in report.codes()
 
     def test_corrupted_contraction_axes(self):
         plan = _plan(Circuit(1).h(0))
-        op = _first_op(plan, UnitaryOp)
+        op = _first_op(plan, ContractOp)
         op.in_axes = (5,)
         report = verify_plan(plan)
         assert "plan-axis-range" in report.codes()
 
     def test_corrupted_batch_targets(self):
         plan = _plan(Circuit(1).h(0))
-        op = _first_op(plan, UnitaryOp)
+        op = _first_op(plan, ContractOp)
         op.batch_targets = (9,)
         report = verify_plan(plan)
         assert "plan-axis-range" in report.codes()

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import Circuit, Instruction, NoiseModel, Parameter, compile_plan, depolarizing
+from repro import (
+    Circuit,
+    Instruction,
+    NoiseModel,
+    Parameter,
+    RunOptions,
+    compile_plan,
+    depolarizing,
+)
 from repro.gates import get_gate
 from repro.plan import (
     ConditionalOp,
@@ -90,9 +98,9 @@ class TestDynamicExecution:
         assert trace.real == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_op_applies_only_on_match(self):
-        from repro.plan import UnitaryOp
+        from repro.plan import ContractOp
 
-        inner = UnitaryOp("x", get_gate("x").matrix, (0,), np.complex128)
+        inner = ContractOp("x", get_gate("x").matrix, (0,), np.complex128)
         op = ConditionalOp(0, 1, inner)
         state = np.array([1.0, 0.0], dtype=np.complex128)
         untouched = op.apply_pure(state, np.random.default_rng(0), [0])
@@ -106,5 +114,8 @@ class TestBatchGuard:
         theta = Parameter("theta")
         circuit = Circuit(1, num_clbits=1).ry(theta, 0).measure(0, 0)
         plan = compile_plan(circuit, StatevectorBackend(), use_cache=False)
-        with pytest.raises(SimulationError, match="dynamic"):
+        with pytest.raises(SimulationError, match="dynamic") as info:
             run_batched_sweep(plan, [{theta: 0.1}, {theta: 0.2}])
+        # The remedy it names must be a sweep_mode RunOptions accepts.
+        assert "sweep_mode='per_element'" in str(info.value)
+        RunOptions(sweep_mode="per_element")

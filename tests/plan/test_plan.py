@@ -12,11 +12,11 @@ from repro import (
     get_backend,
 )
 from repro.plan import (
+    ContractOp,
     DensityKrausOp,
     DensityUnitaryOp,
     ExecutionPlan,
     ParametricSlotOp,
-    UnitaryOp,
 )
 from repro.utils.exceptions import SimulationError
 
@@ -32,7 +32,7 @@ class TestLowering:
         assert plan.mode == "statevector"
         assert plan.num_qubits == 2
         assert len(plan) == 2
-        assert all(isinstance(op, UnitaryOp) for op in plan.ops)
+        assert all(isinstance(op, ContractOp) for op in plan.ops)
         assert plan.backend_name == "statevector"
         assert not plan.is_parametric
 
@@ -138,7 +138,7 @@ class TestParametricPlans:
         bound = plan.bind({"theta": 0.3})
         assert not bound.is_parametric
         assert bound.ops[0] is plan.ops[0]  # static op reused, not rebuilt
-        assert isinstance(bound.ops[1], UnitaryOp)
+        assert isinstance(bound.ops[1], ContractOp)
 
     def test_bind_accepts_parameter_objects_and_names(self):
         theta = Parameter("theta")

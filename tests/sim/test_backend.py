@@ -179,16 +179,16 @@ class TestSharedRunSignature:
         rho = DensityMatrixBackend().run(circuit, options=options)
         assert rho.fidelity(psi) == pytest.approx(1.0)
 
-    def test_legacy_keywords_still_accepted_but_deprecated(self):
-        circuit = Circuit(1).rz(0.5, 0).rz(-0.5, 0)
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            legacy = StatevectorBackend().run(circuit, optimize=True)
-        assert legacy == StatevectorBackend().run(circuit)
+    @pytest.mark.parametrize("keyword", ["optimize", "passes", "noise_model"])
+    def test_legacy_keywords_rejected(self, keyword):
+        # Removed in 0.10.0: options=RunOptions(...) is the only spelling.
+        with pytest.raises(TypeError, match=keyword):
+            StatevectorBackend().run(Circuit(1).h(0), **{keyword: None})
 
     def test_mixing_options_and_legacy_keywords_rejected(self):
         from repro import RunOptions
 
-        with pytest.raises(SimulationError, match="not both"):
+        with pytest.raises(TypeError, match="optimize"):
             StatevectorBackend().run(
                 Circuit(1).h(0), options=RunOptions(), optimize=True
             )

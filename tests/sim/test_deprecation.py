@@ -1,11 +1,16 @@
-"""Legacy ``run(optimize=/passes=/noise_model=)`` keywords are deprecated."""
+"""The ``run(optimize=/passes=/noise_model=)`` keywords are gone (0.10.0).
 
+``options=RunOptions(...)`` is the only spelling; nothing on the run path
+warns any more.
+"""
+
+import inspect
 import warnings
 
 import pytest
 
-from repro import Circuit, NoiseModel, RunOptions, depolarizing
-from repro.sim import DensityMatrixBackend, StatevectorBackend, run
+from repro import Circuit, RunOptions
+from repro.sim import BaseBackend, StatevectorBackend, run
 from repro.transpile import FuseAdjacentGates
 
 
@@ -17,43 +22,6 @@ def _caught(callable_):
 
 
 class TestLegacyKeywordDeprecation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"optimize": True},
-            {"passes": [FuseAdjacentGates()]},
-        ],
-        ids=["optimize", "passes"],
-    )
-    def test_backend_run_warns_exactly_once(self, kwargs):
-        circuit = Circuit(1).h(0)
-        caught = _caught(lambda: StatevectorBackend().run(circuit, **kwargs))
-        assert len(caught) == 1
-        assert "RunOptions" in str(caught[0].message)
-
-    def test_noise_model_keyword_warns(self):
-        model = NoiseModel().add_channel(depolarizing(0.01))
-        circuit = Circuit(1).h(0)
-        caught = _caught(
-            lambda: DensityMatrixBackend().run(circuit, noise_model=model)
-        )
-        assert len(caught) == 1
-        assert "noise_model" in str(caught[0].message)
-
-    def test_module_run_warns_exactly_once(self):
-        # The module-level run() delegates to BaseBackend.run with an
-        # already-built RunOptions, so the warning must not double up.
-        circuit = Circuit(1).h(0)
-        caught = _caught(lambda: run(circuit, optimize=True))
-        assert len(caught) == 1
-
-    def test_warning_points_at_the_caller(self):
-        circuit = Circuit(1).h(0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run(circuit, optimize=True)
-        assert caught[0].filename == __file__
-
     def test_options_path_is_silent(self):
         circuit = Circuit(1).h(0)
         options = RunOptions(optimize=True, passes=[FuseAdjacentGates()])
@@ -64,8 +32,21 @@ class TestLegacyKeywordDeprecation:
         circuit = Circuit(1).h(0)
         assert _caught(lambda: run(circuit, backend="density_matrix")) == []
 
-    def test_legacy_and_options_paths_agree(self):
-        circuit = Circuit(1).rz(0.3, 0).rz(-0.3, 0)
-        with pytest.warns(DeprecationWarning):
-            legacy = run(circuit, optimize=True)
-        assert legacy == run(circuit, options=RunOptions(optimize=True))
+    @pytest.mark.parametrize("keyword", ["optimize", "passes", "noise_model"])
+    def test_module_run_rejects_removed_keywords(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            run(Circuit(1).h(0), **{keyword: None})
+
+    def test_run_signatures_have_one_spelling(self):
+        assert list(inspect.signature(run).parameters) == [
+            "circuit",
+            "initial_state",
+            "backend",
+            "options",
+        ]
+        assert list(inspect.signature(BaseBackend.run).parameters) == [
+            "self",
+            "circuit",
+            "initial_state",
+            "options",
+        ]

@@ -28,7 +28,7 @@ from repro.circuit.ptm import (
 )
 from repro.execution import RunOptions
 from repro.noise import amplitude_damping, depolarizing, phase_damping
-from repro.plan import PTMOp, ParametricSlotOp, compile_plan
+from repro.plan import ContractOp, ParametricSlotOp, compile_plan
 from repro.plan.plan import DENSITY as DENSITY_MODE
 from repro.plan.plan import PTM as PTM_MODE
 from repro.sim import (
@@ -300,7 +300,7 @@ class TestFusionThroughChannels:
         plan = compile_plan(circuit, get_backend("ptm"))
         assert len(plan.ops) == 1
         (op,) = plan.ops
-        assert isinstance(op, PTMOp)
+        assert isinstance(op, ContractOp)
         assert op.name == "h+depolarizing+x"
         assert op.tensor.shape == (4, 4)
         assert op.tensor.dtype == np.float64
@@ -329,9 +329,9 @@ class TestFusionThroughChannels:
         circuit = Circuit(1).h(0).rz(theta, 0).x(0)
         plan = compile_plan(circuit, get_backend("ptm"))
         kinds = [type(op).__name__ for op in plan.ops]
-        assert kinds == ["PTMOp", "ParametricSlotOp", "PTMOp"]
+        assert kinds == ["ContractOp", "ParametricSlotOp", "ContractOp"]
         bound = plan.bind({"theta": 0.4})
-        assert all(isinstance(op, PTMOp) for op in bound.ops)
+        assert all(isinstance(op, ContractOp) for op in bound.ops)
 
     def test_lowering_and_barrier_predicate_agree(self):
         # ptm lowering flushes exactly where is_fusion_barrier says so for
@@ -345,7 +345,7 @@ class TestFusionThroughChannels:
         assert plan.mode == PTM_MODE
         assert barriers == [False, False, True, False]
         kinds = [type(op).__name__ for op in plan.ops]
-        assert kinds == ["PTMOp", "ParametricSlotOp", "PTMOp"]
+        assert kinds == ["ContractOp", "ParametricSlotOp", "ContractOp"]
         assert is_fusion_barrier(circuit[1], DENSITY_MODE)
 
 

@@ -11,6 +11,7 @@ from repro.transpile import (
     default_passes,
     transpile,
 )
+from repro.transpile.base import as_pass_manager
 from repro.utils.exceptions import TranspilerError
 
 
@@ -94,6 +95,17 @@ class TestPassManager:
         assert stats[1].gates_after == 1  # h·h cancelled
         assert stats[-1].as_dict()["pass"] == "FuseAdjacentGates"
 
+    def test_run_with_stats_returns_its_own_stats(self):
+        manager = PassManager([DropIdentities()])
+        manager.run(Circuit(1).h(0))
+        before = manager.last_stats
+        result, stats = manager._run_with_stats(Circuit(1).rz(0.0, 0).h(0))
+        assert len(result) == 1
+        assert [s.gates_before for s in stats] == [2]
+        # last_stats belongs to run(); the stats-returning entry point
+        # leaves it alone so concurrent callers never see each other's.
+        assert manager.last_stats is before
+
     def test_empty_manager_is_identity(self):
         circuit = Circuit(2).h(0).cx(0, 1)
         assert PassManager().run(circuit) == circuit
@@ -127,8 +139,14 @@ class TestTranspile:
         wide = transpile(circuit, max_fused_width=3)
         assert len(wide) == 1  # everything fuses into one 3-qubit unitary
 
-    def test_pass_manager_out_exposes_stats(self):
-        sink = []
-        transpile(Circuit(2).h(0).h(0), pass_manager_out=sink)
-        assert len(sink) == 1
-        assert sink[0].last_stats[1].gates_after == 0
+    def test_as_pass_manager_builds_the_default_pipeline(self):
+        manager = as_pass_manager(None)
+        manager.run(Circuit(2).h(0).h(0))
+        assert manager.last_stats[1].gates_after == 0
+        assert as_pass_manager(manager) is manager
+
+    def test_lowering_keywords_are_gone(self):
+        with pytest.raises(TypeError):
+            transpile(Circuit(1).h(0), lower=lambda circuit: circuit)
+        with pytest.raises(TypeError):
+            transpile(Circuit(1).h(0), pass_manager_out=[])
