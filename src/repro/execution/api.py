@@ -515,17 +515,15 @@ def _compile_timed(
     timings describe the current call: a cache hit costs only the lookup
     and contributes zero transpile time, instead of echoing the original
     compile's wall times (which could exceed this call's own total).
-    Hit detection reads the cache's miss counter around the compile —
-    sound here because compilation is synchronous and single-threaded.
+    The compile path reports whether this call hit the cache, so this
+    holds while other threads (e.g. a second dispatcher) compile too.
     """
-    from repro.plan import compile_plan, plan_cache_info
+    from repro.plan.plan import _compile_plan
 
-    misses_before = plan_cache_info()["misses"]
     t0 = time.perf_counter()
-    plan = compile_plan(circuit, backend, options)
+    plan, compiled = _compile_plan(circuit, backend, options, use_cache=True)
     compile_time = time.perf_counter() - t0
-    compiled_now = plan_cache_info()["misses"] > misses_before
-    return plan, compile_time, (plan.transpile_time_s if compiled_now else 0.0)
+    return plan, compile_time, (plan.transpile_time_s if compiled else 0.0)
 
 
 def _sweep_is_batchable(

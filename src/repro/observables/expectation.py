@@ -25,6 +25,7 @@ from repro.sim.backend import apply_gate_tensor
 from repro.sim.density import DensityMatrix
 from repro.sim.ptm import PauliVector
 from repro.sim.statevector import Statevector
+from repro.transpile.fusion import contract
 from repro.utils.exceptions import ExecutionError
 
 State = Union[Statevector, DensityMatrix, PauliVector]
@@ -85,11 +86,7 @@ def _pauli_expectation_batched(states: np.ndarray, pauli: Pauli) -> np.ndarray:
         # Contract the 2x2 factor onto the (shifted) qubit axis of every
         # batch element at once; axis 0 stays the batch axis throughout.
         tensor = np.asarray(PAULI_MATRICES[factor], dtype=states.dtype)
-        applied = np.moveaxis(
-            np.tensordot(tensor, applied, axes=((1,), (qubit + 1,))),
-            0,
-            qubit + 1,
-        )
+        applied = contract(applied, tensor, (qubit + 1,), (1,), (0,))
     points = states.shape[0]
     values = np.einsum(
         "ni,ni->n", states.conj().reshape(points, -1), applied.reshape(points, -1)

@@ -4,7 +4,8 @@
 to an :class:`ExecutionPlan`: it runs the requested pass pipeline, lowers
 the result, and constructs the plan once.  A plan is a flat sequence of
 precomputed ops, with contraction axes resolved and noise-model rules
-matched per instruction:
+matched per instruction (each contraction is one call of
+:func:`repro.transpile.fusion.contract`):
 
 * :class:`ContractOp` — a gate unitary onto a pure state, or a (fused)
   real Pauli-transfer matrix onto a Pauli vector in ``"ptm"`` plans;

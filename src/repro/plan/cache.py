@@ -4,17 +4,17 @@
 the same circuit twice — or sweeping a parametric template whose plan was
 compiled last call — skips transpilation and lowering entirely.
 
-Keying: a plan is identified by the *content* of the circuit (its
-instruction tuple compares gates by name/params/matrix, so two separately
-built but identical circuits share a plan), the structural
-:meth:`~repro.circuit.Circuit.stats` key as a cheap discriminator, the
-backend's name/mode/dtype, and the compile-relevant options (``optimize``,
-the identity of each ``passes`` entry, the identity + rule count of the
-``noise_model``).  Entries hold strong references to the pass and noise
-objects whose ``id()`` appears in the key, so a key can never collide with
-a dead object's recycled id.  Pass objects are assumed to honour the
-:class:`~repro.transpile.Pass` purity contract (same pass, same rewrite);
-noise-model rule *additions* change the rule count and miss naturally.
+Keying: a plan is identified by the *content* of the circuit (its qubit
+and clbit counts and its instruction tuple, which compares gates by
+name/params/matrix, so two separately built but identical circuits share
+a plan), the backend's name/mode/dtype, and the compile-relevant options
+(``optimize``, the identity of each ``passes`` entry, the identity + rule
+count of the ``noise_model``).  Entries hold strong references to the
+pass and noise objects whose ``id()`` appears in the key, so a key can
+never collide with a dead object's recycled id.  Pass objects are
+assumed to honour the :class:`~repro.transpile.Pass` purity contract
+(same pass, same rewrite); noise-model rule *additions* change the rule
+count and miss naturally.
 
 The cache is LRU-bounded and instrumented: :func:`plan_cache_info`
 exposes hits/misses/size for tests, benchmarks, and capacity planning.
@@ -111,7 +111,7 @@ def _key(
         mode,
         str(dtype),
         circuit.num_qubits,
-        circuit.stats().key(),
+        circuit.num_clbits,
         circuit.instructions,
         bool(options.optimize),
         # Certified and uncertified compiles of the same circuit differ

@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.circuit import Channel, Circuit, Parameter
 from repro.circuit.ptm import kraus_to_ptm
-from repro.transpile.fusion import Fuser, FusionGroup, is_fusion_barrier
+from repro.transpile.fusion import Fuser, FusionGroup, contract, is_fusion_barrier
 from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
@@ -117,18 +117,6 @@ def remove_lower_hook(hook: LowerHook) -> None:
         _LOWER_HOOKS.remove(hook)
 
 
-def _contract(
-    state: np.ndarray,
-    tensor: np.ndarray,
-    targets: Sequence[int],
-    in_axes: Sequence[int],
-    out_axes: Sequence[int],
-) -> np.ndarray:
-    """One precomputed-axis tensordot: ``tensor`` onto ``targets`` of ``state``."""
-    out = np.tensordot(tensor, state, axes=(in_axes, targets))
-    return np.moveaxis(out, out_axes, targets)
-
-
 class ContractOp:
     """A matrix contraction onto ``targets`` of a ``(base,) * n`` state tensor.
 
@@ -168,10 +156,10 @@ class ContractOp:
         self.name = name
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        return _contract(state, self.tensor, self.targets, self.in_axes, self.out_axes)
+        return contract(state, self.tensor, self.targets, self.in_axes, self.out_axes)
 
     def apply_batched(self, batch: np.ndarray) -> np.ndarray:
-        return _contract(
+        return contract(
             batch, self.tensor, self.batch_targets, self.in_axes, self.out_axes
         )
 
@@ -214,8 +202,8 @@ class DensityUnitaryOp:
         self.name = name
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = _contract(rho, self.tensor, self.row_targets, self.in_axes, self.out_axes)
-        return _contract(
+        rho = contract(rho, self.tensor, self.row_targets, self.in_axes, self.out_axes)
+        return contract(
             rho, self.conj_tensor, self.col_targets, self.in_axes, self.out_axes
         )
 
@@ -261,8 +249,8 @@ class DensityKrausOp:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         total = None
         for tensor, conj_tensor in zip(self.tensors, self.conj_tensors):
-            term = _contract(rho, tensor, self.row_targets, self.in_axes, self.out_axes)
-            term = _contract(
+            term = contract(rho, tensor, self.row_targets, self.in_axes, self.out_axes)
+            term = contract(
                 term, conj_tensor, self.col_targets, self.in_axes, self.out_axes
             )
             total = term if total is None else total + term
@@ -572,7 +560,7 @@ class TrajectoryKrausOp:
         candidates = []
         weights = []
         for tensor in self.tensors:
-            candidate = _contract(state, tensor, self.targets, self.in_axes, self.out_axes)
+            candidate = contract(state, tensor, self.targets, self.in_axes, self.out_axes)
             candidates.append(candidate)
             weights.append(float(np.vdot(candidate, candidate).real))
         draw = rng.random() * sum(weights)
@@ -889,7 +877,7 @@ def _lower(
 
     def emit(group: FusionGroup) -> None:
         ops.append(
-            ContractOp("+".join(group.members), group.matrix, group.qubits, dtype, base=4)
+            ContractOp("+".join(group.members), group.product(), group.qubits, dtype, base=4)
         )
 
     fuser = Fuser(emit, dim=4)
@@ -978,6 +966,17 @@ def compile_plan(
         :mod:`repro.plan.cache`).  Compilation is skipped entirely on a
         hit — repeated ``execute()`` of the same circuit reuses the plan.
     """
+    return _compile_plan(circuit, backend, options, use_cache)[0]
+
+
+def _compile_plan(
+    circuit: Circuit,
+    backend: Any,
+    options: Optional["RunOptions"],
+    use_cache: bool,
+) -> Tuple[ExecutionPlan, bool]:
+    """:func:`compile_plan`, plus whether *this* call compiled the plan
+    (``False`` on a cache hit, whatever other threads compile meanwhile)."""
     from repro.execution.options import RunOptions
     from repro.plan.cache import cache_get, cache_put
 
@@ -1011,7 +1010,7 @@ def compile_plan(
     if use_cache:
         cached = cache_get(circuit, backend_name, mode, dtype, options)
         if cached is not None:
-            return cached
+            return cached, False
 
     noise_model = options.noise_model
     if not getattr(noise_model, "has_gate_noise", False):
@@ -1050,4 +1049,4 @@ def compile_plan(
         hook(circuit, plan)
     if use_cache:
         cache_put(circuit, backend_name, mode, dtype, options, plan)
-    return plan
+    return plan, True

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.sim.registry import BaseBackend, register_backend
 from repro.sim.statevector import Statevector
+from repro.transpile.fusion import contract
 from repro.utils.exceptions import SimulationError
 
 
@@ -31,16 +32,16 @@ def apply_gate_tensor(
     """Contract a ``2**k x 2**k`` gate onto ``targets`` of a ``(2,) * n`` state.
 
     ``targets[0]`` is the gate's most significant index bit, matching the
-    bitstring convention.  Returns a new ``(2,) * n`` tensor.
+    bitstring convention.  Returns a new ``(2,) * n`` tensor, contracted
+    by the plan ops' tensordot kernel :func:`~repro.transpile.fusion.contract`.
     """
     k = len(targets)
     # Match the state's dtype so a complex64 simulation is not silently
     # promoted back to complex128 by the contraction.
     gate_tensor = np.asarray(matrix, dtype=state.dtype).reshape((2,) * (2 * k))
-    # Contract the gate's input axes (the trailing k) with the target axes of
-    # the state; tensordot leaves the gate's output axes first.
-    out = np.tensordot(gate_tensor, state, axes=(tuple(range(k, 2 * k)), tuple(targets)))
-    return np.moveaxis(out, tuple(range(k)), tuple(targets))
+    return contract(
+        state, gate_tensor, tuple(targets), tuple(range(k, 2 * k)), tuple(range(k))
+    )
 
 
 class StatevectorBackend(BaseBackend):

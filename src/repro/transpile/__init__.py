@@ -4,6 +4,8 @@ A :class:`Pass` is a pure ``Circuit -> Circuit`` rewrite; a
 :class:`PassManager` chains passes and records per-pass statistics;
 :func:`transpile` is the convenience front door running the default
 pipeline (drop identities, cancel inverse pairs, fuse adjacent gates).
+Fusion multiplies with :func:`repro.transpile.fusion.contract`, the one
+tensordot kernel that plan ops and ``apply_gate_tensor`` also apply.
 
 The layer depends only on ``repro.circuit``/``repro.gates`` — simulators
 opt in via ``RunOptions(optimize=True)`` or ``RunOptions(passes=...)``,
@@ -13,7 +15,7 @@ transpiler ever importing a backend.
 
 from repro.transpile.base import Pass, PassManager, PassStats, transpile, default_passes
 from repro.transpile.cleanup import CancelInversePairs, DropIdentities
-from repro.transpile.fusion import FuseAdjacentGates, embed_matrix
+from repro.transpile.fusion import FuseAdjacentGates
 
 __all__ = [
     "CancelInversePairs",
@@ -23,6 +25,5 @@ __all__ = [
     "PassManager",
     "PassStats",
     "default_passes",
-    "embed_matrix",
     "transpile",
 ]

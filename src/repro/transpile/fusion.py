@@ -11,13 +11,15 @@ The same :class:`Fuser` serves two algebras.  :class:`FuseAdjacentGates`
 feeds it ``2**k x 2**k`` gate unitaries; ``ptm``-mode plan lowering
 (:mod:`repro.plan`) feeds it the real ``4**k x 4**k`` Pauli transfer
 matrices of gates *and* channels, which compose by the same product.
-:class:`Fuser` and :func:`embed_matrix` take that local dimension as
-``dim`` (2 for unitaries, 4 for PTMs), so PTMs stay real ``float64``.
+:class:`Fuser` takes that local dimension as ``dim`` (2 for unitaries,
+4 for PTMs), so PTMs stay real ``float64``.
+Fused products are built by :func:`contract`, the tensordot kernel that
+also applies plan ops to states.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,46 +28,21 @@ from repro.transpile.base import FUSE_WIDTH, Pass
 from repro.utils.exceptions import TranspilerError
 
 
-def embed_matrix(
-    matrix: np.ndarray, positions: Sequence[int], width: int, dim: int = 2
+def contract(
+    state: np.ndarray,
+    tensor: np.ndarray,
+    targets: Sequence[int],
+    in_axes: Sequence[int],
+    out_axes: Sequence[int],
 ) -> np.ndarray:
-    """Embed a ``k``-qubit operator into a ``width``-qubit register.
+    """Contract a ``k``-qubit operator ``tensor`` onto ``targets`` of ``state``.
 
-    ``matrix`` is a ``(dim**k, dim**k)`` operator with local dimension
-    ``dim``: 2 for a gate unitary (embedded as ``complex``), 4 for a Pauli
-    transfer matrix (embedded as real ``float64``).  ``positions[i]`` is
-    the register slot (0 = most significant, matching the library
-    convention) that qubit ``i`` of ``matrix`` occupies; all other slots
-    act as identity.
+    ``tensor`` is the ``(dim,) * 2k`` operator, output axes first;
+    ``in_axes``/``out_axes`` are its trailing/leading ``k`` axes, which
+    plan ops precompute.  ``targets[0]`` is its most significant index.
     """
-    if dim not in (2, 4):
-        raise TranspilerError(f"local dimension must be 2 or 4, got {dim}")
-    positions = [int(p) for p in positions]
-    k = len(positions)
-    if width < k:
-        raise TranspilerError(f"cannot embed {k} qubits into width {width}")
-    if len(set(positions)) != k or any(p < 0 or p >= width for p in positions):
-        raise TranspilerError(
-            f"invalid embedding positions {tuple(positions)} for width {width}"
-        )
-    matrix = np.asarray(matrix)
-    if matrix.shape != (dim**k, dim**k):
-        raise TranspilerError(
-            f"matrix shape {matrix.shape} does not match {k} embedding "
-            f"position(s) of local dimension {dim}"
-        )
-    matrix = matrix.astype(complex if dim == 2 else float, copy=False)
-    if positions == list(range(width)):
-        return matrix
-    # kron puts ``matrix`` on slots 0..k-1 and the identity on the rest;
-    # one axis permutation then routes slot i to ``positions[i]`` (and the
-    # identity slots to the remaining positions, ascending).  Every entry
-    # is a product with an exact 0 or 1, so nothing is rounded.
-    full = np.kron(matrix, np.eye(dim ** (width - k), dtype=matrix.dtype))
-    order = positions + [p for p in range(width) if p not in positions]
-    perm = sorted(range(width), key=order.__getitem__)
-    tensor = full.reshape((dim,) * (2 * width)).transpose(perm + [p + width for p in perm])
-    return tensor.reshape(dim**width, dim**width)
+    out = np.tensordot(tensor, state, axes=(in_axes, targets))
+    return np.moveaxis(out, out_axes, targets)
 
 
 def is_fusion_barrier(instruction: Instruction, mode: Optional[str] = None) -> bool:
@@ -83,33 +60,42 @@ def is_fusion_barrier(instruction: Instruction, mode: Optional[str] = None) -> b
 
 
 class FusionGroup:
-    """One fused run: its qubits (first-touch order), product and members."""
+    """One fused run: its qubits (first-touch order), members and their
+    ``(qubits, matrix)`` factors; :meth:`product` multiplies them once."""
 
-    __slots__ = ("qubits", "matrix", "members", "_dim")
+    __slots__ = ("qubits", "factors", "members", "_dim")
 
     def __init__(
         self, qubits: Sequence[int], matrix: np.ndarray, member: Any, dim: int
     ) -> None:
         self.qubits: List[int] = list(qubits)
-        self.matrix = matrix
+        self.factors: List[Tuple[Tuple[int, ...], np.ndarray]] = [(tuple(qubits), matrix)]
         self.members: List[Any] = [member]
         self._dim = dim
 
     def absorb(self, qubits: Sequence[int], matrix: np.ndarray, member: Any) -> None:
-        new = [q for q in qubits if q not in self.qubits]
-        if new:
-            # Existing qubits keep their slots (a prefix of the widened
-            # register), so widening is a plain kron with identity on the
-            # new low slots.
-            self.matrix = np.kron(
-                self.matrix, np.eye(self._dim ** len(new), dtype=self.matrix.dtype)
-            )
-            self.qubits.extend(new)
-        positions = [self.qubits.index(q) for q in qubits]
-        incoming = embed_matrix(matrix, positions, len(self.qubits), self._dim)
-        # The incoming operator runs after the accumulated run: left-multiply.
-        self.matrix = incoming @ self.matrix
+        self.qubits.extend(q for q in qubits if q not in self.qubits)
+        self.factors.append((tuple(qubits), matrix))
         self.members.append(member)
+
+    def product(self) -> np.ndarray:
+        """The run's operator on :attr:`qubits`: the identity with each factor
+        contracted onto its row axes in program order.  A singleton group
+        returns its member's matrix object unchanged."""
+        if len(self.factors) == 1:
+            return self.factors[0][1]
+        dim, width = self._dim, len(self.qubits)
+        # At least float64: PTMs stay real, unitaries are complex.
+        dtype = np.result_type(float, *(matrix for _, matrix in self.factors))
+        product = np.eye(dim**width, dtype=dtype).reshape((dim,) * (2 * width))
+        for qubits, matrix in self.factors:
+            k = len(qubits)
+            targets = tuple(self.qubits.index(q) for q in qubits)
+            tensor = matrix.reshape((dim,) * (2 * k))
+            product = contract(
+                product, tensor, targets, tuple(range(k, 2 * k)), tuple(range(k))
+            )
+        return product.reshape(dim**width, dim**width)
 
 
 class Fuser:
@@ -122,8 +108,8 @@ class Fuser:
     this greedy packing yields the fewest groups any contiguous split can.
     Call :meth:`flush` at every barrier and at the end of the stream.
     ``dim`` is the local dimension of the fed operators (2 for unitaries,
-    4 for PTMs; see :func:`embed_matrix`).  Inputs are never mutated: a
-    singleton group carries its operator's matrix object unchanged.
+    4 for PTMs).  Inputs are never mutated: a singleton group's
+    :meth:`~FusionGroup.product` is its operator's matrix object.
     """
 
     def __init__(
@@ -189,7 +175,7 @@ class FuseAdjacentGates(Pass):
                 out.append(instruction.gate, instruction.qubits)
             else:
                 out.append(
-                    unitary_gate(group.matrix, validate=False), tuple(group.qubits)
+                    unitary_gate(group.product(), validate=False), tuple(group.qubits)
                 )
 
         fuser = Fuser(emit, self.max_width)

@@ -147,6 +147,40 @@ class TestCacheMisses:
         compile_plan(circuit, "statevector")
         assert plan_cache_info()["misses"] == 2
 
+    def test_differing_num_clbits_misses(self):
+        # Identical instructions, but the classical register widths
+        # differ, and so do the plans' registers.
+        narrow = compile_plan(Circuit(2, num_clbits=1).h(0).cx(0, 1), "statevector")
+        wide = compile_plan(Circuit(2, num_clbits=3).h(0).cx(0, 1), "statevector")
+        assert wide is not narrow
+        assert (narrow.num_clbits, wide.num_clbits) == (1, 3)
+        assert plan_cache_info()["misses"] == 2
+
+
+class TestStatsComputedOnce:
+    @pytest.fixture()
+    def stats_calls(self, monkeypatch):
+        calls = []
+        stats = Circuit.stats
+
+        def counted(circuit):
+            calls.append(circuit)
+            return stats(circuit)
+
+        monkeypatch.setattr(Circuit, "stats", counted)
+        return calls
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_miss_computes_stats_once_and_hit_never(self, stats_calls, optimize):
+        circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2).rz(0.2, 2)
+        options = RunOptions(optimize=optimize)
+        plan = compile_plan(circuit, "statevector", options)
+        assert len(stats_calls) == 1
+        assert plan.stats == plan.circuit.stats()
+        del stats_calls[:]
+        assert compile_plan(circuit, "statevector", options) is plan
+        assert stats_calls == []
+
 
 class TestBindNeverRelowers:
     def test_cached_parametric_plan_binds_without_lowering(self, lowering_counter):

@@ -122,9 +122,15 @@ def test_wide_register_proves_no_dense_operator():
 
 def test_hot_path_source_builds_no_dense_operator():
     """The gate-apply hot path must contract tensors, not kron up operators."""
+    from repro.transpile.fusion import contract
+
     source = inspect.getsource(backend_module.apply_gate_tensor)
     assert "tensordot" in source
     assert "kron" not in source
+    assert "contract(" in source
+    kernel = inspect.getsource(contract)
+    assert "np.tensordot" in kernel
+    assert "kron" not in kernel
 
 
 class TestSharedRunSignature:

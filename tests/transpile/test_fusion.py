@@ -1,16 +1,70 @@
-"""Tests for FuseAdjacentGates and the matrix-embedding helper."""
+"""Tests for FuseAdjacentGates, the Fuser's products and their oracle.
+
+The fuser builds every product by contracting factors onto a running
+identity (:func:`repro.transpile.fusion.contract`).  The oracle here is
+an independent construction: each factor is embedded into the group's
+register by ``kron`` with the identity plus one axis permutation, and the
+embedded factors are multiplied as dense matrices.
+"""
 
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit
+from repro.circuit import Channel, Circuit
 from repro.circuit.ptm import kraus_to_ptm
 from repro.execution import RunOptions
 from repro.gates import get_gate
-from repro.plan import compile_plan
+from repro.noise import NoiseModel, amplitude_damping, depolarizing
+from repro.plan import ContractOp, compile_plan
 from repro.sim import get_backend, run
-from repro.transpile import FuseAdjacentGates, embed_matrix
+from repro.transpile import FuseAdjacentGates
+from repro.transpile.fusion import Fuser
 from repro.utils.exceptions import TranspilerError
+
+
+def embed_matrix(matrix, positions, width, dim=2):
+    """Reference: embed a ``k``-qubit operator into a ``width``-qubit register.
+
+    ``matrix`` is ``(dim**k, dim**k)`` with local dimension ``dim`` (2 for
+    a unitary, embedded as ``complex``; 4 for a PTM, kept real).
+    ``positions[i]`` is the register slot (0 = most significant) that
+    qubit ``i`` of ``matrix`` occupies; all other slots act as identity.
+    """
+    if dim not in (2, 4):
+        raise ValueError(f"local dimension must be 2 or 4, got {dim}")
+    positions = [int(p) for p in positions]
+    k = len(positions)
+    if width < k:
+        raise ValueError(f"cannot embed {k} qubits into width {width}")
+    if len(set(positions)) != k or any(p < 0 or p >= width for p in positions):
+        raise ValueError(f"invalid embedding positions {tuple(positions)} for width {width}")
+    matrix = np.asarray(matrix)
+    if matrix.shape != (dim**k, dim**k):
+        raise ValueError(
+            f"matrix shape {matrix.shape} does not match {k} embedding "
+            f"position(s) of local dimension {dim}"
+        )
+    matrix = matrix.astype(complex if dim == 2 else float, copy=False)
+    if positions == list(range(width)):
+        return matrix
+    # kron puts ``matrix`` on slots 0..k-1 and the identity on the rest;
+    # one axis permutation routes slot i to ``positions[i]`` and the
+    # identity slots to the remaining positions, ascending.
+    full = np.kron(matrix, np.eye(dim ** (width - k), dtype=matrix.dtype))
+    order = positions + [p for p in range(width) if p not in positions]
+    perm = sorted(range(width), key=order.__getitem__)
+    tensor = full.reshape((dim,) * (2 * width)).transpose(perm + [p + width for p in perm])
+    return tensor.reshape(dim**width, dim**width)
+
+
+def reference_product(factors, qubits, dim):
+    """Dense product of ``(factor qubits, matrix)`` pairs on ``qubits``."""
+    width = len(qubits)
+    product = np.eye(dim**width)
+    for factor_qubits, matrix in factors:
+        positions = [qubits.index(q) for q in factor_qubits]
+        product = embed_matrix(matrix, positions, width, dim) @ product
+    return product
 
 
 def _fidelity(a, b):
@@ -26,7 +80,9 @@ def _cx_ptm():
 
 
 class TestEmbedMatrix:
-    """One embedding for both algebras: 2x2 unitaries and 4x4 PTMs per qubit."""
+    """The reference embedding, pinned to hand-built answers for both
+    algebras (2x2 unitaries and 4x4 PTMs per qubit), so the oracle tests
+    below rest on it."""
 
     @pytest.mark.parametrize(
         "matrix, dim", [(get_gate("h").matrix, 2), (_x_ptm(), 4)], ids=["unitary", "ptm"]
@@ -81,13 +137,13 @@ class TestEmbedMatrix:
         ids=["unitary", "ptm"],
     )
     def test_invalid_positions_rejected(self, one, two, dim):
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(one, [0, 0], 2, dim)
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(one, [2], 2, dim)
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(two, [0], 2, dim)
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(two, [0, 1], 1, dim)
 
     @pytest.mark.parametrize(
@@ -105,12 +161,182 @@ class TestEmbedMatrix:
         ids=["cx-one-position", "unitary", "ptm-as-unitary", "ptm", "unitary-as-ptm", "neither"],
     )
     def test_shape_mismatch_rejected(self, matrix, positions, dim):
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(matrix, positions, 3, dim)
 
     def test_unknown_local_dimension_rejected(self):
-        with pytest.raises(TranspilerError):
+        with pytest.raises(ValueError):
             embed_matrix(np.eye(3), [0], 1, dim=3)
+
+
+def _random_unitary(rng, k):
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_channel(rng, k):
+    """A seeded mixed-unitary channel: asymmetric under qubit reordering."""
+    p = float(rng.uniform(0.05, 0.5))
+    kraus = (np.sqrt(1.0 - p) * _random_unitary(rng, k), np.sqrt(p) * _random_unitary(rng, k))
+    return Channel("mixed", k, kraus)
+
+
+def _random_targets(rng, num_qubits, k):
+    """``k`` distinct qubits in random order: often reversed or non-adjacent."""
+    return tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
+
+
+def _operator_stream(seed, dim, num_qubits=4, length=40):
+    """Seeded ``(qubits, matrix)`` stream of 1-3 qubit operators.
+
+    ``dim=2`` gives unitaries; ``dim=4`` gives gate and channel PTMs.
+    The stream opens with a reversed two-qubit operator on non-adjacent
+    qubits followed by two one-qubit operators on one of them.
+    """
+    rng = np.random.default_rng(seed)
+    arities = rng.choice([1, 1, 2, 2, 3], size=length - 3)
+    targets = [(3, 0), (0,), (0,)] + [_random_targets(rng, num_qubits, k) for k in arities]
+    stream = []
+    for qubits in targets:
+        k = len(qubits)
+        if dim == 2:
+            matrix = _random_unitary(rng, k)
+        elif rng.random() < 0.5:
+            matrix = _random_channel(rng, k).ptm
+        else:
+            matrix = kraus_to_ptm((_random_unitary(rng, k),), k)
+        stream.append((qubits, matrix))
+    return stream
+
+
+def _dense_unitary(circuit):
+    """The circuit's full-register unitary, built with the reference embedding."""
+    n = circuit.num_qubits
+    return reference_product(
+        [(instruction.qubits, instruction.gate.matrix) for instruction in circuit],
+        list(range(n)),
+        2,
+    )
+
+
+def _random_circuit(seed, num_qubits=4, length=40):
+    """Seeded library and explicit-matrix gates on shuffled qubit tuples.
+
+    The fixed opening (a one-qubit run, then a reversed ``cx`` on
+    non-adjacent qubits) fuses at every width.
+    """
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(num_qubits).h(3).rz(0.3, 3).cx(3, 0)
+    for _ in range(length):
+        choice = int(rng.integers(6))
+        if choice == 0:
+            circuit.cx(*_random_targets(rng, num_qubits, 2))
+        elif choice == 1:
+            circuit.rz(float(rng.uniform(0, 2 * np.pi)), int(rng.integers(num_qubits)))
+        elif choice == 2:
+            circuit.h(int(rng.integers(num_qubits)))
+        else:
+            k = choice - 2
+            circuit.unitary(_random_unitary(rng, k), _random_targets(rng, num_qubits, k))
+    return circuit
+
+
+class TestFusedProductsMatchReference:
+    """Fused products against the kron-and-permute reference, to 1e-12."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_width", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 4], ids=["unitary", "ptm"])
+    def test_fuser_group_products(self, dim, max_width, seed):
+        stream = _operator_stream(seed, dim)
+        groups = []
+        fuser = Fuser(groups.append, max_width, dim)
+        for index, (qubits, matrix) in enumerate(stream):
+            fuser.feed(qubits, matrix, index)
+        fuser.flush()
+        assert [i for group in groups for i in group.members] == list(range(len(stream)))
+        assert any(len(group.members) > 1 for group in groups)
+        for group in groups:
+            expected = reference_product(
+                [stream[i] for i in group.members], group.qubits, dim
+            )
+            product = group.product()
+            assert product.dtype == expected.dtype
+            np.testing.assert_allclose(product, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4], ids=["unitary", "ptm"])
+    def test_singleton_product_is_the_input_matrix(self, dim):
+        matrix = _operator_stream(0, dim)[0][1]
+        groups = []
+        fuser = Fuser(groups.append, 2, dim)
+        fuser.feed((3, 0), matrix, "only")
+        fuser.flush()
+        assert groups[0].product() is matrix
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_width", [1, 2, 3])
+    def test_fuse_adjacent_gates_products(self, max_width, seed):
+        circuit = _random_circuit(seed)
+        fused = FuseAdjacentGates(max_width=max_width).run(circuit)
+        assert len(fused) < len(circuit)
+        np.testing.assert_allclose(
+            _dense_unitary(fused), _dense_unitary(circuit), rtol=0, atol=1e-12
+        )
+        # Singleton groups pass their gate object through; every new
+        # (fused) gate stays within the width bound.
+        originals = {id(instruction.gate) for instruction in circuit}
+        for instruction in fused:
+            if id(instruction.gate) not in originals:
+                assert len(instruction.qubits) <= max_width
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ptm_contract_op_tensors(self, seed):
+        """Each fused ptm op equals the reference product of its members.
+
+        Members are recovered in program order from the op names: every
+        gate, then the noise channels it fires.
+        """
+        rng = np.random.default_rng(seed)
+        circuit = _random_circuit(seed, length=24)
+        for _ in range(4):
+            k = int(rng.integers(1, 3))
+            circuit.channel(_random_channel(rng, k), _random_targets(rng, 4, k))
+        noise = (
+            NoiseModel()
+            .add_channel(amplitude_damping(0.05), gates=["h", "rz"])
+            .add_channel(depolarizing(0.02, 2), gates=["cx"])
+        )
+        stream = []
+        for instruction in circuit:
+            if instruction.is_channel:
+                channel = instruction.operation
+                stream.append((channel.name, instruction.qubits, channel.ptm))
+                continue
+            gate = instruction.gate
+            ptm = kraus_to_ptm((gate.matrix,), len(instruction.qubits))
+            stream.append((gate.name, instruction.qubits, ptm))
+            for channel, qubits in noise.channels_for(instruction):
+                stream.append((channel.name, qubits, channel.ptm))
+        plan = compile_plan(
+            circuit, "ptm", RunOptions(noise_model=noise), use_cache=False
+        )
+        consumed = 0
+        for op in plan.ops:
+            assert isinstance(op, ContractOp)
+            names = op.name.split("+")
+            members = stream[consumed : consumed + len(names)]
+            consumed += len(names)
+            assert names == [name for name, _, _ in members]
+            expected = reference_product(
+                [(qubits, ptm) for _, qubits, ptm in members], list(op.targets), 4
+            )
+            size = 4 ** len(op.targets)
+            np.testing.assert_allclose(
+                op.tensor.reshape(size, size), expected, rtol=0, atol=1e-12
+            )
+        assert consumed == len(stream)
+        assert any("+" in op.name for op in plan.ops)
 
 
 class TestFuseAdjacentGates:
